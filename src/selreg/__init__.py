@@ -9,15 +9,13 @@ to stay below the abstention cost.
 __version__ = "0.1.0"
 
 from .abstention import (AbstentionConfig, Decision, Reason, Verdict, decide,
-                         decide_with_z, plugin_decide)
+                         decide_batch)
 from .data import (Normal, Scaler, ShiftSplit, SyntheticSpec, Uniform,
                    covariate_shift_split, generate_synthetic, load_csv,
                    mean_quadratic, sd_heaviside, sd_sigmoid, standardize,
                    synthetic_sampler)
-from .estimators import (Dataset, DegenerateNeighborhood, FitState,
-                         PointEvaluation, estimate_density, evaluate_point,
-                         nw_weights, predict_mean, predict_variance,
-                         select_bandwidth_loocv)
+from .estimators import (Dataset, FitState, PointEvaluation, evaluate_batch,
+                         evaluate_point, select_bandwidth_loocv)
 from .kernels import KernelKind, KernelSpec, kernel_spec
 from .normal import normal_cdf, normal_quantile
 from .risk import (GroundTruth, RiskReport, conditional_chow_risk,

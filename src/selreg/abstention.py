@@ -9,13 +9,17 @@ explored, and (2) the one-sided test on the conditional variance passes:
 The estimated density stands in for the true one on the right-hand side.
 Setting beta = 0.5 makes z vanish and the rule degenerates to the plugin
 baseline: accept iff the density gate holds and sigma2_hat <= lambda.
+
+decide_batch applies the rule to a batched evaluation; decide and
+decide_from_evaluation are its one-point views.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .estimators import FitState, PointEvaluation, evaluate_point
 from .normal import normal_quantile
@@ -37,17 +41,20 @@ class AbstentionConfig:
     """Abstention cost lam > 0 and test significance level beta in (0, 0.5].
 
     beta is capped at 0.5: beyond it the test would be anti-conservative
-    relative to the plugin rule.
+    relative to the plugin rule. The critical value z = z_{1-beta} is
+    derived once, here, for every decision made under the config.
     """
 
     lam: float
     beta: float
+    z: float = field(init=False)
 
     def __post_init__(self):
         if not (self.lam > 0.0):
             raise ValueError("abstention cost must be positive")
         if not (0.0 < self.beta <= 0.5):
             raise ValueError("significance level must lie in (0, 0.5]")
+        object.__setattr__(self, "z", normal_quantile(1.0 - self.beta))
 
 
 @dataclass(frozen=True)
@@ -70,47 +77,39 @@ def density_floor(fit: FitState) -> float:
 
 
 def variance_threshold(lam: float, z: float, l2_norm: float, n: int,
-                       h: float, d: int, p_hat: float) -> float:
-    """Right-hand side of the variance test; NaN when p_hat is zero."""
-    if p_hat <= 0.0:
-        return float("nan")
-    return lam * (1.0 - z * l2_norm * math.sqrt(2.0 / (n * h ** d * p_hat)))
+                       h: float, d: int, p_hat):
+    """Right-hand side of the variance test, elementwise; NaN where p_hat = 0."""
+    p_hat = np.asarray(p_hat, dtype=float)
+    ratio = np.divide(2.0, n * h ** d * p_hat, out=np.full(p_hat.shape, np.nan),
+                      where=p_hat > 0.0)
+    return lam * (1.0 - z * l2_norm * np.sqrt(ratio))
+
+
+def decide_batch(ev: PointEvaluation, fit: FitState, lam: float, z: float):
+    """Apply the gate and the variance test to every point of an evaluation.
+
+    Returns the arrays (accepted, low_density, threshold), shaped like
+    ev.p_hat, so that sweeps over (lam, z) reuse one evaluation. Zero kernel
+    mass shows up as p_hat = 0 and fails the gate; a non-positive threshold
+    cannot be met (sigma2_hat >= 0). lam = 0 is allowed here (threshold 0)
+    for the coverage sweep's leftmost cell.
+    """
+    threshold = variance_threshold(lam, z, fit.kernel.l2_norm, fit.train.n,
+                                   fit.h, fit.train.d, ev.p_hat)
+    low_density = np.asarray(ev.p_hat) < density_floor(fit)
+    return ~low_density & (ev.sigma2_hat <= threshold), low_density, threshold
 
 
 def decide_from_evaluation(ev: PointEvaluation, fit: FitState, lam: float,
                            z: float) -> Decision:
-    """Apply the gate and the variance test to an existing point evaluation.
-
-    Lets sweeps over (lam, z) reuse one evaluation per query point. A zero
-    kernel mass shows up as p_hat = 0 and is rejected by the gate. lam = 0
-    is allowed here (threshold 0; only an exactly-zero variance estimate
-    could be accepted) for the coverage sweep's leftmost cell.
-    """
-    n, h, d = fit.train.n, fit.h, fit.train.d
-    threshold = variance_threshold(lam, z, fit.kernel.l2_norm, n, h, d, ev.p_hat)
-    if ev.p_hat < density_floor(fit):
-        return Decision(Verdict.REJECT, Reason.LOW_DENSITY, ev, threshold)
-    # A non-positive threshold cannot be met (sigma2_hat >= 0), so points
-    # with too little density mass are rejected whatever the variance says.
-    if ev.sigma2_hat <= threshold:
-        return Decision(Verdict.ACCEPT, Reason.ACCEPTED, ev, threshold)
-    return Decision(Verdict.REJECT, Reason.VARIANCE_TEST_FAILED, ev, threshold)
-
-
-def decide_with_z(fit: FitState, x, lam: float, z: float) -> Decision:
-    """Decision rule with the critical value z = z_{1-beta} given directly.
-
-    Exposed separately because high-dimensional runs sweep z itself instead
-    of beta.
-    """
-    return decide_from_evaluation(evaluate_point(fit, x), fit, lam, z)
+    """Scalar view of decide_batch for the evaluation of one query point."""
+    accepted, low_density, threshold = decide_batch(ev, fit, lam, z)
+    reason = (Reason.LOW_DENSITY if low_density else
+              Reason.ACCEPTED if accepted else Reason.VARIANCE_TEST_FAILED)
+    return Decision(Verdict.ACCEPT if accepted else Verdict.REJECT, reason, ev,
+                    float(threshold))
 
 
 def decide(fit: FitState, x, cfg: AbstentionConfig) -> Decision:
     """Run the acceptance test at x under cfg."""
-    return decide_with_z(fit, x, cfg.lam, normal_quantile(1.0 - cfg.beta))
-
-
-def plugin_decide(fit: FitState, x, lam: float) -> Decision:
-    """The plugin baseline: the beta = 0.5 instance of the test."""
-    return decide(fit, x, AbstentionConfig(lam=lam, beta=0.5))
+    return decide_from_evaluation(evaluate_point(fit, x), fit, cfg.lam, cfg.z)

@@ -12,9 +12,9 @@ import json
 import math
 import sys
 
-from .abstention import Verdict, decide_with_z
+from .abstention import Verdict, decide_from_evaluation
 from .data import load_csv
-from .estimators import (FitState, default_bandwidth_grid,
+from .estimators import (FitState, default_bandwidth_grid, evaluate_point,
                          select_bandwidth_loocv)
 from .experiments import ConfigError, run_scenario
 from .kernels import kernel_spec
@@ -50,7 +50,7 @@ def _cmd_decide(args) -> int:
     if not (args.lam > 0.0):
         raise ValueError("--lambda must be positive")
 
-    decision = decide_with_z(fit, x, args.lam, z)
+    decision = decide_from_evaluation(evaluate_point(fit, x), fit, args.lam, z)
     print(json.dumps({
         "verdict": decision.verdict.value,
         "reason": decision.reason.value,

@@ -1,8 +1,14 @@
 """Nadaraya-Watson estimators of mean, variance and covariate density.
 
 All estimators evaluate against a frozen FitState (training data + kernel +
-bandwidth). Evaluation is exact brute force, O(n) per query point; at desk
-scale (n <= 2e4) nothing faster is needed.
+bandwidth). ``evaluate_batch`` is the one evaluation path: it scores m query
+points in one pass over the training data, in row blocks of
+max(1, _CHUNK // d) query points, so that a block holds at most _CHUNK x n
+coordinate differences, the memory bound LOO-CV's row block also keeps.
+Within a block each query row gets its own kernel row, weight sum and dot
+products, so its estimates are the same bits whatever it is batched with;
+``evaluate_point`` is the one-point view. Evaluation is exact brute force,
+O(n) per query point; at desk scale (n <= 2e4) nothing faster is needed.
 """
 
 from __future__ import annotations
@@ -14,12 +20,9 @@ import numpy as np
 
 from .kernels import KernelSpec, eval_sq
 
-# Row-block size for pairwise-distance work in LOO-CV; bounds peak memory.
+# Row-block size for pairwise-distance work (LOO-CV, batched evaluation);
+# bounds peak memory.
 _CHUNK = 1024
-
-
-class DegenerateNeighborhood(RuntimeError):
-    """Raised when every kernel weight at the query point is zero."""
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,12 @@ class FitState:
 
 @dataclass(frozen=True)
 class PointEvaluation:
-    """All estimator outputs at one query point.
+    """All estimator outputs at one query point, or arrays of them.
 
-    For a query with zero kernel mass (possible for the bounded-support
-    kernel, or by underflow far from the data) f_hat and sigma2_hat are NaN
-    and p_hat is 0.
+    evaluate_point fills the fields with floats, evaluate_batch with
+    length-m arrays. For a query with zero kernel mass (possible for the
+    bounded-support kernel, or by underflow far from the data) f_hat and
+    sigma2_hat are NaN and p_hat is 0.
     """
 
     f_hat: float
@@ -100,57 +104,42 @@ def _query_point(fit: FitState, x) -> np.ndarray:
     return x
 
 
-def _kernel_row(fit: FitState, x: np.ndarray) -> tuple[np.ndarray, float]:
-    diff = (fit.train.x - x) / fit.h
-    vals = eval_sq(fit.kernel, np.einsum("ij,ij->i", diff, diff))
-    return vals, float(vals.sum())
+def evaluate_batch(fit: FitState, X) -> PointEvaluation:
+    """Mean, variance and density estimates at each row of X.
 
-
-def nw_weights(fit: FitState, x) -> np.ndarray:
-    """Normalized kernel weights of the training samples at x.
-
-    Raises DegenerateNeighborhood when the weight denominator is zero.
+    X is an (m, d) matrix; the fields of the result are length-m arrays. Rows are processed in blocks
+    of at most _CHUNK x n coordinate differences, and every row is computed
+    on its own, so a row does not depend on the rows batched with it.
     """
-    vals, denom = _kernel_row(fit, _query_point(fit, x))
-    if denom <= 0.0:
-        raise DegenerateNeighborhood("zero kernel mass at the query point")
-    return vals / denom
-
-
-def predict_mean(fit: FitState, x) -> float:
-    """NW regression estimate: kernel-weighted average of the responses."""
-    return float(nw_weights(fit, x) @ fit.train.y)
-
-
-def predict_variance(fit: FitState, x) -> float:
-    """NW conditional-variance estimate, clamped to [0, inf).
-
-    Weighted second moment minus squared weighted mean, computed in the
-    equivalent centered form for numerical stability.
-    """
-    w = nw_weights(fit, x)
-    m = float(w @ fit.train.y)
-    return max(float(w @ np.square(fit.train.y - m)), 0.0)
-
-
-def estimate_density(fit: FitState, x) -> float:
-    """Kernel density estimate of the covariate density at x."""
-    _, denom = _kernel_row(fit, _query_point(fit, x))
-    return denom / (fit.train.n * fit.h ** fit.train.d)
+    train, h = fit.train, fit.h
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != train.d:
+        raise ValueError(f"queries have shape {X.shape}, expected (m, {train.d})")
+    f_hat, sigma2_hat, denom = np.empty((3, X.shape[0]))
+    step = max(1, _CHUNK // train.d)
+    for lo in range(0, X.shape[0], step):
+        rows = slice(lo, lo + step)
+        diff = (train.x - X[rows, None, :]) / h
+        vals = eval_sq(fit.kernel, np.einsum("rij,rij->ri", diff, diff))
+        denom[rows] = vals.sum(axis=1)
+        # a zero-mass row divides 0 by 0, so its weights, f_hat and
+        # sigma2_hat are NaN
+        with np.errstate(invalid="ignore"):
+            w = vals / denom[rows, None]
+        # vecdot takes one dot product per row, the sums of a 1-D ``w @ y``
+        f_hat[rows] = np.vecdot(w, train.y)
+        sigma2_hat[rows] = np.maximum(
+            np.vecdot(w, np.square(train.y - f_hat[rows, None])), 0.0)
+    return PointEvaluation(f_hat=f_hat, sigma2_hat=sigma2_hat,
+                           p_hat=denom / (train.n * h ** train.d),
+                           weight_denominator=denom)
 
 
 def evaluate_point(fit: FitState, x) -> PointEvaluation:
-    """Compute mean, variance and density estimates in a single pass."""
-    vals, denom = _kernel_row(fit, _query_point(fit, x))
-    p_hat = denom / (fit.train.n * fit.h ** fit.train.d)
-    if denom <= 0.0:
-        return PointEvaluation(f_hat=float("nan"), sigma2_hat=float("nan"),
-                               p_hat=p_hat, weight_denominator=denom)
-    w = vals / denom
-    m = float(w @ fit.train.y)
-    s2 = max(float(w @ np.square(fit.train.y - m)), 0.0)
-    return PointEvaluation(f_hat=m, sigma2_hat=s2, p_hat=p_hat,
-                           weight_denominator=denom)
+    """Scalar view of evaluate_batch at the single query point x."""
+    ev = evaluate_batch(fit, _query_point(fit, x)[None, :])
+    return PointEvaluation(float(ev.f_hat[0]), float(ev.sigma2_hat[0]),
+                           float(ev.p_hat[0]), float(ev.weight_denominator[0]))
 
 
 def default_bandwidth_grid(data: Dataset, num: int = 30) -> np.ndarray:

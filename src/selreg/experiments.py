@@ -21,12 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .abstention import AbstentionConfig, Verdict, decide_from_evaluation
+from .abstention import AbstentionConfig, decide_batch
 from .data import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                    covariate_shift_split, load_csv, mean_quadratic,
                    sd_heaviside, sd_sigmoid, standardize, synthetic_sampler,
                    table_fn)
-from .estimators import (FitState, evaluate_point, fixed_bandwidth,
+from .estimators import (FitState, evaluate_batch, fixed_bandwidth,
                          loocv_bandwidth, power_bandwidth)
 from .kernels import KernelSpec, kernel_spec
 from .normal import normal_quantile
@@ -144,75 +144,58 @@ def write_csv(table: Table, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _monte_carlo(cfg: ExperimentConfig, betas):
+    """Per n of cfg: (n, one report list per beta), from shared replicates.
+
+    Every replicate is fitted once and evaluated once on the grid; each beta
+    scores that same evaluation, so the methods' columns are directly
+    comparable.
+    """
+    sampler = synthetic_sampler(cfg.synthetic)
+    rule = cfg.h_policy.fit_rule(kernel_spec(cfg.kernel, cfg.synthetic.d))
+    methods = [AbstentionConfig(lam=cfg.lam, beta=beta) for beta in betas]
+    return [(n, monte_carlo_expected_excess(
+                cfg.truth, sampler, n, methods, rule, cfg.x_grid,
+                cfg.replicates, cfg.seed))
+            for n in cfg.n_list]
+
+
 def run_acceptance_curve(cfg: ExperimentConfig) -> Table:
     """Fraction of accepted predictions per grid point and sample size."""
-    sampler = synthetic_sampler(cfg.synthetic)
-    kernel = kernel_spec(cfg.kernel, cfg.synthetic.d)
-    rule = cfg.h_policy.fit_rule(kernel)
-    abst = AbstentionConfig(lam=cfg.lam, beta=cfg.beta)
-    rows = []
-    for n in cfg.n_list:
-        reports = monte_carlo_expected_excess(
-            cfg.truth, sampler, n, abst, rule, cfg.x_grid,
-            cfg.replicates, cfg.seed)
-        rows.extend((float(rep.x[0]), n, rep.accept_fraction)
-                    for rep in reports)
+    rows = [(float(rep.x[0]), n, rep.accept_fraction)
+            for n, (reports,) in _monte_carlo(cfg, [cfg.beta])
+            for rep in reports]
     return Table(header=("x", "n", "accept_fraction"), rows=rows)
 
 
 def run_excess_risk_vs_n(cfg: ExperimentConfig) -> Table:
-    """Expected excess risk against n for the test and the plugin baseline.
-
-    Both methods score the same replicate datasets (the seeds coincide), so
-    their columns are directly comparable.
-    """
-    sampler = synthetic_sampler(cfg.synthetic)
-    kernel = kernel_spec(cfg.kernel, cfg.synthetic.d)
-    rule = cfg.h_policy.fit_rule(kernel)
-    rows = []
-    for n in cfg.n_list:
-        for method, beta in (("testing", cfg.beta), ("plugin", 0.5)):
-            reports = monte_carlo_expected_excess(
-                cfg.truth, sampler, n, AbstentionConfig(lam=cfg.lam, beta=beta),
-                rule, cfg.x_grid, cfg.replicates, cfg.seed)
-            rows.extend((float(rep.x[0]), n, method, rep.expected_excess,
-                         rep.mc_stderr) for rep in reports)
+    """Expected excess risk against n for the test and the plugin baseline."""
+    rows = [(float(rep.x[0]), n, method, rep.expected_excess, rep.mc_stderr)
+            for n, per_method in _monte_carlo(cfg, [cfg.beta, 0.5])
+            for method, reports in zip(("testing", "plugin"), per_method)
+            for rep in reports]
     return Table(header=("x", "n", "method", "expected_excess", "stderr"),
                  rows=rows)
 
 
 def run_excess_risk_vs_beta(cfg: ExperimentConfig) -> Table:
     """Excess risk and acceptance at fixed n across significance levels."""
-    sampler = synthetic_sampler(cfg.synthetic)
-    kernel = kernel_spec(cfg.kernel, cfg.synthetic.d)
-    rule = cfg.h_policy.fit_rule(kernel)
-    (n,) = cfg.n_list
-    rows = []
-    for beta in cfg.beta_list:
-        method = "plugin" if beta == 0.5 else "testing"
-        reports = monte_carlo_expected_excess(
-            cfg.truth, sampler, n, AbstentionConfig(lam=cfg.lam, beta=beta),
-            rule, cfg.x_grid, cfg.replicates, cfg.seed)
-        rows.extend((float(rep.x[0]), beta, method, rep.expected_excess,
-                     rep.mc_stderr, rep.accept_fraction) for rep in reports)
+    ((_, per_beta),) = _monte_carlo(cfg, cfg.beta_list)
+    rows = [(float(rep.x[0]), beta, "plugin" if beta == 0.5 else "testing",
+             rep.expected_excess, rep.mc_stderr, rep.accept_fraction)
+            for beta, reports in zip(cfg.beta_list, per_beta)
+            for rep in reports]
     return Table(header=("x", "beta", "method", "expected_excess", "stderr",
                          "accept_fraction"), rows=rows)
 
 
 def run_pointwise_convergence(cfg: ExperimentConfig) -> Table:
     """Excess risk at diagnostic points across n under the h power law."""
-    sampler = synthetic_sampler(cfg.synthetic)
-    kernel = kernel_spec(cfg.kernel, cfg.synthetic.d)
-    rule = cfg.h_policy.fit_rule(kernel)
-    abst = AbstentionConfig(lam=cfg.lam, beta=cfg.beta)
-    rows = []
-    for n in cfg.n_list:
-        h = cfg.h_policy.c * n ** cfg.h_policy.exponent
-        reports = monte_carlo_expected_excess(
-            cfg.truth, sampler, n, abst, rule, cfg.x_grid,
-            cfg.replicates, cfg.seed)
-        rows.extend((float(rep.x[0]), n, n * h, rep.expected_excess,
-                     rep.mc_stderr) for rep in reports)
+    c, exponent = cfg.h_policy.c, cfg.h_policy.exponent
+    rows = [(float(rep.x[0]), n, n * (c * n ** exponent),
+             rep.expected_excess, rep.mc_stderr)
+            for n, (reports,) in _monte_carlo(cfg, [cfg.beta])
+            for rep in reports]
     return Table(header=("x", "n", "nh", "expected_excess", "stderr"),
                  rows=rows)
 
@@ -231,29 +214,21 @@ def _coverage_methods(cfg: ExperimentConfig) -> list[tuple[str, float]]:
 def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
     """Acceptance fraction and MSE over accepted test points per lambda.
 
-    The fit and the point evaluations are shared across the sweep; only the
-    decision rule changes with (lambda, method). An empty accepted set
-    leaves the MSE cell blank.
+    The fit and the evaluation of the test points are shared across the
+    sweep; only the decision rule changes with (lambda, method). An empty
+    accepted set leaves the MSE cell blank.
     """
     train, test = cfg.data.load(cfg.seed)
-    kernel = kernel_spec(cfg.kernel, train.d)
-    fit = cfg.h_policy.fit_rule(kernel)(train)
-    evaluations = [evaluate_point(fit, x) for x in test.x]
+    fit = cfg.h_policy.fit_rule(kernel_spec(cfg.kernel, train.d))(train)
+    ev = evaluate_batch(fit, test.x)
+    sq_err = np.square(ev.f_hat - test.y)
 
     rows = []
     for lam in cfg.lambdas:
         for label, z in _coverage_methods(cfg):
-            accepted = np.fromiter(
-                (decide_from_evaluation(ev, fit, lam, z).verdict is Verdict.ACCEPT
-                 for ev in evaluations), dtype=bool, count=test.n)
-            fraction = float(accepted.mean())
-            if np.any(accepted):
-                f_hat = np.array([ev.f_hat for ev in evaluations])
-                mse = float(np.mean(np.square(
-                    f_hat[accepted] - test.y[accepted])))
-            else:
-                mse = None
-            rows.append((lam, label, fraction, mse))
+            accepted = decide_batch(ev, fit, lam, z)[0]
+            mse = float(np.mean(sq_err[accepted])) if accepted.any() else None
+            rows.append((lam, label, float(accepted.mean()), mse))
     return Table(header=("lambda", "method", "accept_fraction",
                          "mse_accepted"), rows=rows)
 
@@ -314,14 +289,46 @@ _KNOWN_KEYS = {"scenario", "seed", "kernel", "lambda", "beta", "beta_list",
                "synthetic", "data"}
 
 
+# a linspace grid larger than this is refused before it is allocated
+_MAX_GRID_POINTS = 1_000_000
+
+
+def _convert(raw, field: str, problems: list, kind=float):
+    """kind(raw), or None after recording a problem that names the field."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a real"
+        problems.append(f"{field} must be {what}, got {raw!r}")
+        return None
+
+
+def _reals(raw, field: str, problems: list) -> Optional[tuple]:
+    """A nonempty list of reals as a tuple, or None after recording problems."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        problems.append(f"{field} must be a nonempty list of reals")
+        return None
+    values = tuple(_convert(v, f"{field}[{i}]", problems)
+                   for i, v in enumerate(raw))
+    return None if None in values else values
+
+
 def _parse_x_grid(raw, problems) -> Optional[tuple]:
     if raw is None:
         return None
     if isinstance(raw, dict) and set(raw) == {"linspace"}:
-        lo, hi, num = raw["linspace"]
-        return tuple(np.linspace(float(lo), float(hi), int(num)))
+        spec = _reals(raw["linspace"], "x_grid.linspace", problems)
+        if spec is None:
+            return None
+        if (len(spec) != 3 or not spec[2].is_integer()
+                or not 1 <= spec[2] <= _MAX_GRID_POINTS):
+            problems.append("x_grid.linspace must be [lo, hi, num] with a whole "
+                            f"num in [1, {_MAX_GRID_POINTS}]")
+            return None
+        lo, hi, num = spec
+        return tuple(np.linspace(lo, hi, int(num)))
     if isinstance(raw, (list, tuple)) and raw:
-        return tuple(float(v) for v in raw)
+        return _reals(raw, "x_grid", problems)
     problems.append("x_grid must be a nonempty list or {\"linspace\": [lo, hi, num]}")
     return None
 
@@ -329,19 +336,22 @@ def _parse_x_grid(raw, problems) -> Optional[tuple]:
 def _parse_h(raw, problems) -> HPolicy:
     if raw is None or raw == "loocv":
         return HPolicy(kind="loocv")
-    if isinstance(raw, dict) and set(raw) == {"loocv"}:
+    if isinstance(raw, dict) and set(raw) == {"loocv"} \
+            and isinstance(raw["loocv"], dict):
         grid = raw["loocv"].get("grid")
-        return HPolicy(kind="loocv",
-                       grid=None if grid is None else tuple(map(float, grid)))
+        return HPolicy(kind="loocv", grid=None if grid is None
+                       else _reals(grid, "h.loocv.grid", problems))
     if isinstance(raw, dict) and set(raw) == {"fixed"}:
-        h = float(raw["fixed"])
-        if h <= 0:
+        h = _convert(raw["fixed"], "h.fixed", problems)
+        if h is not None and not h > 0.0:
             problems.append("fixed bandwidth must be positive")
         return HPolicy(kind="fixed", h=h)
-    if isinstance(raw, dict) and set(raw) == {"power"}:
-        c = float(raw["power"].get("c", 1.0))
-        exponent = float(raw["power"].get("exponent", -0.2))
-        if c <= 0:
+    if isinstance(raw, dict) and set(raw) == {"power"} \
+            and isinstance(raw["power"], dict):
+        c = _convert(raw["power"].get("c", HPolicy.c), "h.power.c", problems)
+        exponent = _convert(raw["power"].get("exponent", HPolicy.exponent),
+                            "h.power.exponent", problems)
+        if c is not None and not c > 0.0:
             problems.append("power-rule coefficient c must be positive")
         return HPolicy(kind="power", c=c, exponent=exponent)
     problems.append("h must be \"loocv\", {\"fixed\": h}, {\"power\": {...}} "
@@ -372,13 +382,21 @@ def _parse_synthetic(raw, problems) -> tuple[Optional[SyntheticSpec],
     if unknown:
         problems.append(f"unknown synthetic keys: {sorted(unknown)}")
     dists = []
-    for i, spec in enumerate(raw.get("covariates") or []):
-        if isinstance(spec, dict) and set(spec) == {"uniform"}:
-            lo, hi = spec["uniform"]
-            dists.append(Uniform(float(lo), float(hi)))
-        elif isinstance(spec, dict) and set(spec) == {"normal"}:
-            mu, sd = spec["normal"]
-            dists.append(Normal(float(mu), float(sd)))
+    covariates = raw.get("covariates")
+    if not isinstance(covariates, (list, tuple)):
+        covariates = []
+    for i, spec in enumerate(covariates):
+        if isinstance(spec, dict) and set(spec) in ({"uniform"}, {"normal"}):
+            ((kind, params),) = spec.items()
+            field = f"synthetic.covariates[{i}].{kind}"
+            values = _reals(params, field, problems)
+            if values is not None and len(values) != 2:
+                problems.append(f"{field} must hold two reals")
+            elif values is not None:
+                try:
+                    dists.append((Uniform if kind == "uniform" else Normal)(*values))
+                except ValueError as exc:
+                    problems.append(f"{field}: {exc}")
         else:
             problems.append(
                 f"covariate {i} must be {{\"uniform\": [lo, hi]}} or "
@@ -412,23 +430,27 @@ def _parse_data(raw, problems) -> Optional[DataSource]:
         problems.append("pre-split data needs both train_csv and test_csv")
     if single and raw.get("pivot_feature") is None:
         problems.append("data.pivot_feature is required with a single csv")
-    q = float(raw.get("train_quantile", 0.7))
-    s = float(raw.get("swap_fraction", 0.2))
-    if not (0.0 < q < 1.0):
+    q = _convert(raw.get("train_quantile", DataSource.train_quantile),
+                 "data.train_quantile", problems)
+    s = _convert(raw.get("swap_fraction", DataSource.swap_fraction),
+                 "data.swap_fraction", problems)
+    if q is not None and not (0.0 < q < 1.0):
         problems.append("data.train_quantile must lie in (0, 1)")
-    if not (0.0 <= s < 1.0):
+    if s is not None and not (0.0 <= s < 1.0):
         problems.append("data.swap_fraction must lie in [0, 1)")
+    target = (_convert(raw["target_column"], "data.target_column", problems,
+                       int) if "target_column" in raw else None)
+    pivot = (None if raw.get("pivot_feature") is None else
+             _convert(raw["pivot_feature"], "data.pivot_feature", problems, int))
     if problems:
         return None
-    return DataSource(target_column=int(raw["target_column"]),
+    return DataSource(target_column=target,
                       has_header=bool(raw.get("has_header", True)),
                       standardize=bool(raw.get("standardize", True)),
                       train_csv=raw.get("train_csv"),
                       test_csv=raw.get("test_csv"),
                       csv=raw.get("csv"),
-                      pivot_feature=(None if raw.get("pivot_feature") is None
-                                     else int(raw["pivot_feature"])),
-                      train_quantile=q, swap_fraction=s)
+                      pivot_feature=pivot, train_quantile=q, swap_fraction=s)
 
 
 def config_from_dict(config: dict) -> ExperimentConfig:
@@ -460,18 +482,14 @@ def config_from_dict(config: dict) -> ExperimentConfig:
     if kernel not in ("gaussian", "epanechnikov"):
         problems.append("kernel must be \"gaussian\" or \"epanechnikov\"")
 
-    def positive_real(key, required):
-        value = config.get(key)
-        if value is None:
-            if required:
-                problems.append(f"{key} is required for scenario {scenario}")
-            return None
-        value = float(value)
-        if not (value > 0.0) or not math.isfinite(value):
-            problems.append(f"{key} must be a positive real")
-        return value
-
-    lam = positive_real("lambda", required=synthetic_scenario)
+    lam = config.get("lambda")
+    if lam is None:
+        if synthetic_scenario:
+            problems.append(f"lambda is required for scenario {scenario}")
+    else:
+        lam = _convert(lam, "lambda", problems)
+        if lam is not None and not (0.0 < lam < math.inf):
+            problems.append("lambda must be a positive real")
 
     beta = config.get("beta")
     needs_beta = scenario in ("acceptance_curve", "excess_risk_vs_n",
@@ -480,26 +498,17 @@ def config_from_dict(config: dict) -> ExperimentConfig:
         if needs_beta:
             problems.append(f"beta is required for scenario {scenario}")
     else:
-        beta = float(beta)
-        if not (0.0 < beta <= 0.5):
+        beta = _convert(beta, "beta", problems)
+        if beta is not None and not (0.0 < beta <= 0.5):
             problems.append("beta must lie in (0, 0.5]")
 
-    def float_list(key):
-        raw = config.get(key)
-        if raw is None:
-            return None
-        if not isinstance(raw, (list, tuple)) or not raw:
-            problems.append(f"{key} must be a nonempty list of reals")
-            return None
-        return tuple(float(v) for v in raw)
-
-    beta_list = float_list("beta_list")
+    beta_list, z_list, lambdas = (
+        None if config.get(key) is None else _reals(config[key], key, problems)
+        for key in ("beta_list", "z_list", "lambdas"))
     if beta_list and any(not (0.0 < b <= 0.5) for b in beta_list):
         problems.append("every beta_list entry must lie in (0, 0.5]")
-    z_list = float_list("z_list")
     if z_list and any(z < 0.0 for z in z_list):
         problems.append("every z_list entry must be nonnegative")
-    lambdas = float_list("lambdas")
     if lambdas and any(v < 0.0 for v in lambdas):
         problems.append("every lambdas entry must be nonnegative")
 

@@ -43,13 +43,24 @@ class KernelSpec:
 
 
 def kernel_spec(kind, dimension: int) -> KernelSpec:
-    """Build a KernelSpec by kernel name ("gaussian" | "epanechnikov")."""
+    """Build a KernelSpec by kernel name ("gaussian" | "epanechnikov").
+
+    Gaussian: b = 1, a = K at ||t|| = 1, ||K||_2 = (4 pi)^(-d/4).
+    Epanechnikov (d=1 only): b = 1/2, a = K(1/2), ||K||_2 = sqrt(3/5), from
+    the closed form integral of (0.75 (1 - t^2))^2 over [-1, 1] = 0.6.
+    """
     kind = KernelKind(kind)
     if dimension < 1:
         raise ValueError("dimension must be a positive integer")
-    a, b = lower_bound_constants(kind, dimension)
-    return KernelSpec(kind=kind, dimension=dimension, a=a, b=b,
-                      l2_norm=l2_norm_of(kind, dimension))
+    if kind is KernelKind.GAUSSIAN:
+        return KernelSpec(
+            kind=kind, dimension=dimension,
+            a=(2.0 * math.pi) ** (-dimension / 2.0) * math.exp(-0.5), b=1.0,
+            l2_norm=(4.0 * math.pi) ** (-dimension / 4.0))
+    if dimension != 1:
+        raise ValueError("the Epanechnikov kernel is only provided for d=1")
+    return KernelSpec(kind=kind, dimension=1, a=0.75 * (1.0 - 0.25), b=0.5,
+                      l2_norm=math.sqrt(0.6))
 
 
 def eval_kernel(kernel: KernelSpec, t) -> float:
@@ -78,32 +89,11 @@ def eval_sq(kernel: KernelSpec, sq_norms):
 
 
 def l2_norm_of(kind, dimension: int) -> float:
-    """||K||_2 in dimension d.
-
-    Gaussian: (4 pi)^(-d/4). Epanechnikov (d=1): sqrt(3/5), from
-    the closed form integral of (0.75 (1 - t^2))^2 over [-1, 1] = 0.6.
-    """
-    kind = KernelKind(kind)
-    if kind is KernelKind.GAUSSIAN:
-        if dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        return (4.0 * math.pi) ** (-dimension / 4.0)
-    if dimension != 1:
-        raise ValueError("the Epanechnikov kernel is only provided for d=1")
-    return math.sqrt(0.6)
+    """||K||_2 = (integral of K^2 over R^d)^(1/2) in dimension d."""
+    return kernel_spec(kind, dimension).l2_norm
 
 
 def lower_bound_constants(kind, dimension: int) -> tuple[float, float]:
-    """Constants (a, b) with K(t) >= a * 1{||t|| <= b}.
-
-    Gaussian: b = 1, a = K at ||t|| = 1. Epanechnikov: b = 1/2, a = K(1/2).
-    """
-    kind = KernelKind(kind)
-    if kind is KernelKind.GAUSSIAN:
-        if dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        a = (2.0 * math.pi) ** (-dimension / 2.0) * math.exp(-0.5)
-        return a, 1.0
-    if dimension != 1:
-        raise ValueError("the Epanechnikov kernel is only provided for d=1")
-    return 0.75 * (1.0 - 0.25), 0.5
+    """Constants (a, b) with K(t) >= a * 1{||t|| <= b}."""
+    spec = kernel_spec(kind, dimension)
+    return spec.a, spec.b

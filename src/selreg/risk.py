@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .abstention import AbstentionConfig, Verdict, decide
+from .abstention import AbstentionConfig, Verdict, decide_batch
 from .data import derive_seed
-from .estimators import Dataset, FitState
+from .estimators import Dataset, FitState, evaluate_batch
 
 
 @dataclass(frozen=True)
@@ -85,62 +85,63 @@ def conditional_chow_risk(f_hat: float, truth: GroundTruth, x, lam: float,
     return truth.variance_at(x) + (f_hat - truth.mean_at(x)) ** 2
 
 
+def _excess(f_hat, accepted, sigma2, mean, lam: float):
+    """Elementwise excess over the oracle risk: estimation error on accepted
+    points plus |sigma2 - lam| where the verdict differs from the oracle's."""
+    wrong_call = np.logical_not(accepted) != oracle_abstains(sigma2, lam)
+    return (np.where(wrong_call, np.abs(sigma2 - lam), 0.0)
+            + np.where(accepted, np.square(f_hat - mean), 0.0))
+
+
 def pointwise_excess(f_hat: float, truth: GroundTruth, x, lam: float,
                      verdict: Verdict) -> float:
     """Excess over the oracle risk: estimation error plus decision mismatch."""
-    sigma2 = truth.variance_at(x)
-    delta = abs(sigma2 - lam)
-    wrong_call = (verdict is Verdict.REJECT) != oracle_abstains(sigma2, lam)
-    excess = delta if wrong_call else 0.0
-    if verdict is Verdict.ACCEPT:
-        excess += (f_hat - truth.mean_at(x)) ** 2
-    return excess
+    return float(_excess(f_hat, verdict is Verdict.ACCEPT, truth.variance_at(x),
+                         truth.mean_at(x), lam))
 
 
 def monte_carlo_expected_excess(
     truth: GroundTruth,
     sampler: Callable[[int, int], Dataset],
     n: int,
-    cfg: AbstentionConfig,
+    cfgs: Sequence[AbstentionConfig],
     fit_rule: Callable[[Dataset], FitState],
     x_grid,
     replicates: int,
     seed: int,
-) -> list[RiskReport]:
+) -> list[list[RiskReport]]:
     """Average the pointwise excess over freshly drawn training sets.
 
-    Each replicate r draws sampler(n, derive_seed(seed, r)), fits via
-    fit_rule, and scores every grid point. Replicates are aggregated in
-    index order, so results do not depend on scheduling; the whole run is
-    a pure function of (inputs, seed).
+    Each replicate r draws sampler(n, derive_seed(seed, r)), fits once via
+    fit_rule, evaluates the whole grid once, and scores that evaluation
+    under every config in cfgs; the result holds one report list per
+    config, in the order of cfgs. Replicates are aggregated in index order,
+    so results do not depend on scheduling; the whole run is a pure
+    function of (inputs, seed).
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     x_grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]
     if not x_grid:
         raise ValueError("x_grid must be nonempty")
+    sigma2 = np.array([truth.variance_at(x) for x in x_grid])
+    mean = np.array([truth.mean_at(x) for x in x_grid])
+    points = np.stack(x_grid)
 
-    excess = np.zeros((len(x_grid), replicates))
-    accepted = np.zeros((len(x_grid), replicates), dtype=bool)
+    excess = np.zeros((len(cfgs), len(x_grid), replicates))
+    accepted = np.zeros(excess.shape, dtype=bool)
     for r in range(replicates):
-        ds = sampler(n, derive_seed(seed, r))
-        fit = fit_rule(ds)
-        for i, x in enumerate(x_grid):
-            decision = decide(fit, x, cfg)
-            accepted[i, r] = decision.verdict is Verdict.ACCEPT
-            excess[i, r] = pointwise_excess(decision.eval.f_hat, truth, x,
-                                            cfg.lam, decision.verdict)
+        fit = fit_rule(sampler(n, derive_seed(seed, r)))
+        ev = evaluate_batch(fit, points)
+        for c, cfg in enumerate(cfgs):
+            accepted[c, :, r] = decide_batch(ev, fit, cfg.lam, cfg.z)[0]
+            excess[c, :, r] = _excess(ev.f_hat, accepted[c, :, r], sigma2,
+                                      mean, cfg.lam)
 
-    reports = []
-    for i, x in enumerate(x_grid):
-        row = excess[i]
-        stderr = (float(row.std(ddof=1)) / math.sqrt(replicates)
-                  if replicates > 1 else 0.0)
-        reports.append(RiskReport(
-            x=x,
-            expected_excess=float(row.mean()),
-            accept_fraction=float(accepted[i].mean()),
-            mc_stderr=stderr,
-            replicates=replicates,
-        ))
-    return reports
+    return [[RiskReport(x=x, expected_excess=float(e.mean()),
+                        accept_fraction=float(a.mean()),
+                        mc_stderr=(float(e.std(ddof=1)) / math.sqrt(replicates)
+                                   if replicates > 1 else 0.0),
+                        replicates=replicates)
+             for x, e, a in zip(x_grid, excess_c, accepted_c)]
+            for excess_c, accepted_c in zip(excess, accepted)]

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selreg import (AbstentionConfig, Dataset, FitState, Reason, Verdict,
-                    decide, decide_with_z, kernel_spec, plugin_decide)
+                    decide, decide_batch, kernel_spec)
 from selreg.abstention import (decide_from_evaluation, density_floor,
                                variance_threshold)
-from selreg.estimators import evaluate_point
+from selreg.estimators import evaluate_batch, evaluate_point
 from selreg.normal import normal_quantile
 
 from conftest import make_fit
@@ -36,6 +36,12 @@ class TestConfig:
     def test_invalid(self, lam, beta):
         with pytest.raises(ValueError):
             AbstentionConfig(lam=lam, beta=beta)
+
+    def test_z_is_derived_from_beta(self):
+        assert AbstentionConfig(lam=0.36, beta=0.05).z == Z95
+        assert AbstentionConfig(lam=0.36, beta=0.5).z == 0.0
+        with pytest.raises(TypeError):
+            AbstentionConfig(lam=0.36, beta=0.05, z=1.0)
 
 
 class TestThresholdFormula:
@@ -92,7 +98,7 @@ class TestDecide:
         # p_hat = K(0)/h^d = (2 pi)^{-1/2}/h < 4a/h^d since 4a > K(0)
         for h in (0.5, 1.0, 2.0):
             fit = make_fit([[0.7]], [1.0], h=h)
-            d = plugin_decide(fit, [0.7], lam=10.0)
+            d = decide(fit, [0.7], AbstentionConfig(lam=10.0, beta=0.5))
             assert d.reason is Reason.LOW_DENSITY
             assert d.eval.sigma2_hat == 0.0
 
@@ -129,15 +135,17 @@ class TestPluginEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_plugin_matches_beta_half(self, seed):
+        # beta = 0.5 is the plugin rule: the density gate, then
+        # sigma2_hat <= lambda, with the threshold equal to lambda
         rng = np.random.default_rng(seed)
         fit = random_fit(rng)
         x = [float(rng.uniform(-3, 3))]
         lam = float(rng.uniform(0.05, 2.0))
         a = decide(fit, x, AbstentionConfig(lam=lam, beta=0.5))
-        b = plugin_decide(fit, x, lam)
-        assert a.verdict == b.verdict
-        assert a.reason == b.reason
-        assert a.threshold == b.threshold
+        gate = a.eval.p_hat >= density_floor(fit)
+        assert a.accepted == (gate and a.eval.sigma2_hat <= lam)
+        assert (a.reason is Reason.LOW_DENSITY) == (not gate)
+        assert a.threshold == lam
 
 
 class TestMonotonicity:
@@ -191,11 +199,40 @@ class TestZDirect:
         fit = random_fit(rng)
         cfg = AbstentionConfig(lam=0.36, beta=0.05)
         via_beta = decide(fit, [0.2], cfg)
-        via_z = decide_with_z(fit, [0.2], 0.36, normal_quantile(0.95))
+        via_z = decide_from_evaluation(evaluate_point(fit, [0.2]), fit, 0.36,
+                                       normal_quantile(0.95))
         assert via_beta == via_z
 
     def test_lambda_zero_rejects_noisy_points(self):
         rng = np.random.default_rng(10)
         fit = random_fit(rng, n=60)
-        d = decide_with_z(fit, [0.0], 0.0, 0.0)
+        d = decide_from_evaluation(evaluate_point(fit, [0.0]), fit, 0.0, 0.0)
         assert not d.accepted or d.eval.sigma2_hat == 0.0
+
+
+class TestDecideBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_single_point_decisions(self, seed):
+        rng = np.random.default_rng(seed)
+        fit = random_fit(rng)
+        points = rng.uniform(-3, 3, size=25)
+        lam = float(rng.uniform(0.0, 2.0))
+        z = float(rng.uniform(0.0, 3.0))
+        accepted, low_density, threshold = decide_batch(
+            evaluate_batch(fit, points[:, None]), fit, lam, z)
+        for i, x in enumerate(points):
+            d = decide_from_evaluation(evaluate_point(fit, [x]), fit, lam, z)
+            assert accepted[i] == d.accepted
+            assert low_density[i] == (d.reason is Reason.LOW_DENSITY)
+            assert threshold[i] == d.threshold
+
+    def test_zero_mass_rows(self):
+        fit = make_fit(np.linspace(-0.1, 0.1, 10)[:, None], np.arange(10.0),
+                       kernel=kernel_spec("epanechnikov", 1), h=0.5)
+        ev = evaluate_batch(fit, [[-4.0], [0.05], [4.0]])
+        with np.errstate(all="raise"):
+            accepted, low_density, threshold = decide_batch(ev, fit, 1.0, Z95)
+        assert low_density.tolist() == [True, False, True]
+        assert not accepted[0] and not accepted[2]
+        assert np.isnan(threshold).tolist() == [True, False, True]

@@ -12,15 +12,15 @@ import pytest
 from scipy import special
 
 from selreg import (AbstentionConfig, Dataset, FitState, GroundTruth,
-                    SyntheticSpec, Uniform, Verdict, conditional_chow_risk,
-                    decide, generate_synthetic, kernel_spec,
-                    monte_carlo_expected_excess, nw_weights, oracle_risk,
-                    plugin_decide, pointwise_excess, predict_mean,
-                    predict_variance, synthetic_sampler)
+                    Reason, SyntheticSpec, Uniform, Verdict,
+                    conditional_chow_risk, decide, evaluate_batch,
+                    evaluate_point, generate_synthetic, kernel_spec,
+                    monte_carlo_expected_excess, oracle_risk,
+                    pointwise_excess, synthetic_sampler)
 from selreg import mean_quadratic, sd_sigmoid
+from selreg.abstention import density_floor
 from selreg.data import airfoil_like_spec
-from selreg.estimators import (estimate_density, loocv_bandwidth,
-                               power_bandwidth)
+from selreg.estimators import loocv_bandwidth, power_bandwidth
 from selreg.experiments import run_scenario
 from selreg.normal import normal_quantile
 from selreg.risk import oracle_abstains
@@ -97,10 +97,13 @@ def test_criterion_03_plugin_reduction():
             x = [float(rng.uniform(-3, 3))]
             lam = float(rng.uniform(0.05, 1.5))
             a = decide(fit, x, AbstentionConfig(lam=lam, beta=0.5))
-            b = plugin_decide(fit, x, lam)
-            assert a.verdict == b.verdict and a.reason == b.reason
-            assert a.threshold == b.threshold and a.eval == b.eval
-    report(3, "decide(beta=0.5) == plugin_decide on 1000 cases")
+            gate = a.eval.p_hat >= density_floor(fit)
+            plugin_accepts = gate and a.eval.sigma2_hat <= lam
+            assert (a.verdict is Verdict.ACCEPT) == plugin_accepts
+            assert (a.reason is Reason.LOW_DENSITY) == (not gate)
+            assert a.threshold == lam and a.eval == evaluate_point(fit, x)
+    report(3, "decide(beta=0.5) == density gate + sigma2_hat <= lambda "
+              "on 1000 cases")
 
 
 def test_criterion_04_monotonicity_suite():
@@ -127,33 +130,35 @@ def test_criterion_05_estimator_correctness():
     for _ in range(200):
         fit = random_fit(rng)
         x = [float(rng.uniform(-2.5, 2.5))]
-        w = nw_weights(fit, x)
+        # weight i is the mean estimate of the unit response e_i
+        w = np.array([evaluate_point(FitState(Dataset(fit.train.x, e),
+                                              fit.kernel, fit.h), x).f_hat
+                      for e in np.eye(fit.train.n)])
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
-        assert predict_variance(fit, x) >= 0.0
+        ev = evaluate_point(fit, x)
+        assert ev.sigma2_hat >= 0.0
 
         shift, scale = float(rng.normal()), float(rng.uniform(0.1, 5.0))
-        mapped = FitState(train=Dataset(x=fit.train.x,
-                                        y=scale * fit.train.y + shift),
-                          kernel=fit.kernel, h=fit.h)
-        assert predict_mean(mapped, x) == pytest.approx(
-            scale * predict_mean(fit, x) + shift, abs=1e-10)
-        assert predict_variance(mapped, x) == pytest.approx(
-            scale ** 2 * predict_variance(fit, x), abs=1e-10)
+        mapped = evaluate_point(
+            FitState(train=Dataset(x=fit.train.x, y=scale * fit.train.y + shift),
+                     kernel=fit.kernel, h=fit.h), x)
+        assert mapped.f_hat == pytest.approx(scale * ev.f_hat + shift,
+                                             abs=1e-10)
+        assert mapped.sigma2_hat == pytest.approx(scale ** 2 * ev.sigma2_hat,
+                                                  abs=1e-10)
 
         delta = float(rng.normal())
-        moved = FitState(train=Dataset(x=fit.train.x + delta, y=fit.train.y),
-                         kernel=fit.kernel, h=fit.h)
-        q = [x[0] + delta]
-        assert predict_mean(moved, q) == pytest.approx(predict_mean(fit, x),
-                                                       abs=1e-12)
-        assert predict_variance(moved, q) == pytest.approx(
-            predict_variance(fit, x), abs=1e-12)
+        moved = evaluate_point(
+            FitState(train=Dataset(x=fit.train.x + delta, y=fit.train.y),
+                     kernel=fit.kernel, h=fit.h), [x[0] + delta])
+        assert moved.f_hat == pytest.approx(ev.f_hat, abs=1e-12)
+        assert moved.sigma2_hat == pytest.approx(ev.sigma2_hat, abs=1e-12)
 
     from dataclasses import replace
     data = generate_synthetic(replace(SIGMOID_SPEC, n=2000, seed=314159))
     fit = FitState(train=data, kernel=GAUSS1, h=0.2)
     grid = np.linspace(-3.0, 3.0, 600)
-    mass = np.trapezoid([estimate_density(fit, [g]) for g in grid], grid)
+    mass = np.trapezoid(evaluate_batch(fit, grid[:, None]).p_hat, grid)
     assert 0.97 <= mass <= 1.03
     report(5, "weights/variance/equivariance/density-mass checks")
 
@@ -178,8 +183,8 @@ def test_criterion_07_regime_reproduction():
 
     # (a) acceptance bands at n = 1000, LOO-CV bandwidths, 100 replicates
     grid = np.linspace(-2.0, 2.0, 81)
-    reports = monte_carlo_expected_excess(
-        SIGMOID_TRUTH, sampler, 1000, cfg, loocv_bandwidth(GAUSS1),
+    (reports,) = monte_carlo_expected_excess(
+        SIGMOID_TRUTH, sampler, 1000, [cfg], loocv_bandwidth(GAUSS1),
         [np.array([x]) for x in grid], replicates=100, seed=20240710)
     xs = np.array([float(r.x[0]) for r in reports])
     fr = np.array([r.accept_fraction for r in reports])
@@ -196,12 +201,13 @@ def test_criterion_07_regime_reproduction():
     rule = power_bandwidth(GAUSS1, 0.5, -0.2)
     points = [np.array([x]) for x in (-0.5, 0.8, 1.6)]
     curves = {}
-    for beta, method in ((0.05, "testing"), (0.5, "plugin")):
-        for n in (50, 500):
-            reps = monte_carlo_expected_excess(
-                SIGMOID_TRUTH, sampler, n,
-                AbstentionConfig(lam=0.36, beta=beta), rule, points,
-                replicates=100, seed=1001)
+    methods = [AbstentionConfig(lam=0.36, beta=0.05),
+               AbstentionConfig(lam=0.36, beta=0.5)]
+    for n in (50, 500):
+        per_method = monte_carlo_expected_excess(
+            SIGMOID_TRUTH, sampler, n, methods, rule, points,
+            replicates=100, seed=1001)
+        for method, reps in zip(("testing", "plugin"), per_method):
             for r in reps:
                 curves[(method, n, float(r.x[0]))] = (r.expected_excess,
                                                       r.mc_stderr)
@@ -233,12 +239,11 @@ def test_criterion_08_testing_beats_plugin_in_noisy_region():
     sampler = synthetic_sampler(SIGMOID_SPEC)
     rule = power_bandwidth(GAUSS1, 0.12, -0.2)
     point = [np.array([1.6])]
-    testing = monte_carlo_expected_excess(
-        SIGMOID_TRUTH, sampler, 500, AbstentionConfig(lam=0.36, beta=0.05),
-        rule, point, replicates=200, seed=1001)[0]
-    plugin = monte_carlo_expected_excess(
-        SIGMOID_TRUTH, sampler, 500, AbstentionConfig(lam=0.36, beta=0.5),
-        rule, point, replicates=200, seed=1001)[0]
+    (testing,), (plugin,) = monte_carlo_expected_excess(
+        SIGMOID_TRUTH, sampler, 500,
+        [AbstentionConfig(lam=0.36, beta=0.05),
+         AbstentionConfig(lam=0.36, beta=0.5)],
+        rule, point, replicates=200, seed=1001)
     pooled = math.hypot(testing.mc_stderr, plugin.mc_stderr)
     assert plugin.expected_excess - testing.expected_excess > 2.0 * pooled
     report(8, "testing excess < plugin excess at x=1.6 (2 pooled stderr)")

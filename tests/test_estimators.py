@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selreg import (Dataset, DegenerateNeighborhood, FitState,
-                    SyntheticSpec, Uniform, generate_synthetic, kernel_spec,
-                    mean_quadratic)
+from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
+                    generate_synthetic, kernel_spec, mean_quadratic)
 from selreg.data import derive_seed
-from selreg.estimators import (default_bandwidth_grid, estimate_density,
-                               evaluate_point, nw_weights, predict_mean,
-                               predict_variance, select_bandwidth_loocv)
+from selreg.estimators import (_CHUNK, default_bandwidth_grid, evaluate_batch,
+                               evaluate_point, select_bandwidth_loocv)
+from selreg.kernels import eval_sq
 
 from conftest import make_fit
 
@@ -32,30 +31,64 @@ def kernel_row_oracle(fit, x):
     return np.array(out)
 
 
+def scalar_reference(fit, x):
+    """The one-point arithmetic of evaluate_batch, written as a 1-D loop body:
+    batching must not change a bit of it."""
+    diff = (fit.train.x - np.asarray(x, dtype=float)) / fit.h
+    vals = eval_sq(fit.kernel, np.einsum("ij,ij->i", diff, diff))
+    denom = float(vals.sum())
+    w = vals / denom
+    f = float(w @ fit.train.y)
+    s2 = max(float(w @ np.square(fit.train.y - f)), 0.0)
+    return f, s2, denom / (fit.train.n * fit.h ** fit.train.d), denom
+
+
+def weights_at(fit, x):
+    """Weight of each training sample at x: the mean of a unit-vector response."""
+    unit = np.eye(fit.train.n)
+    return np.array([evaluate_point(FitState(Dataset(fit.train.x, e), fit.kernel,
+                                             fit.h), x).f_hat for e in unit])
+
+
+def f_hat_at(fit, x):
+    return evaluate_point(fit, x).f_hat
+
+
+def sigma2_hat_at(fit, x):
+    return evaluate_point(fit, x).sigma2_hat
+
+
+def p_hat_at(fit, x):
+    return evaluate_point(fit, x).p_hat
+
+
 class TestWeights:
     def test_single_sample(self):
         fit = make_fit([[0.0]], [3.7])
-        assert nw_weights(fit, [1.2]).tolist() == [1.0]
+        assert weights_at(fit, [1.2]).tolist() == [1.0]
 
     def test_equidistant_pair(self):
         fit = make_fit([[-1.0], [1.0]], [0.0, 2.0])
-        np.testing.assert_allclose(nw_weights(fit, [0.0]), [0.5, 0.5],
+        np.testing.assert_allclose(weights_at(fit, [0.0]), [0.5, 0.5],
                                    atol=1e-15)
 
     def test_two_point_derived_case(self):
         # X = {0, 1}, x = 0, h = 1: weights proportional to {K(0), K(1)}
         fit = make_fit([[0.0], [1.0]], [1.0, 5.0])
-        w = nw_weights(fit, [0.0])
+        w = weights_at(fit, [0.0])
         expect = np.array([1.0, math.exp(-0.5)])
         expect /= expect.sum()
         np.testing.assert_allclose(w, expect, rtol=1e-15)
         np.testing.assert_allclose(w, [0.62246, 0.37754], atol=5e-6)
 
     def test_degenerate_neighborhood_raises(self):
+        # no sample in the kernel's support: the weights are undefined, which
+        # the evaluation signals with NaN weights and zero mass, not an error
         fit = make_fit([[0.0]], [1.0], kernel=kernel_spec("epanechnikov", 1),
                        h=0.5)
-        with pytest.raises(DegenerateNeighborhood):
-            nw_weights(fit, [2.0])
+        assert np.isnan(weights_at(fit, [2.0])).all()
+        ev = evaluate_point(fit, [2.0])
+        assert ev.weight_denominator == 0.0 and ev.p_hat == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -64,37 +97,37 @@ class TestWeights:
         n = int(rng.integers(1, 40))
         fit = make_fit(rng.normal(size=(n, 1)), rng.normal(size=n),
                        h=float(rng.uniform(0.05, 2.0)))
-        w = nw_weights(fit, rng.normal(size=1))
+        w = weights_at(fit, rng.normal(size=1))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
 
 
 class TestMeanVariance:
     def test_single_sample_mean(self):
-        assert predict_mean(make_fit([[0.0]], [3.7]), [0.4]) == 3.7
+        assert f_hat_at(make_fit([[0.0]], [3.7]), [0.4]) == 3.7
 
     def test_equidistant_pair_mean(self):
-        assert predict_mean(make_fit([[-1.0], [1.0]], [0.0, 2.0]),
-                            [0.0]) == pytest.approx(1.0, abs=1e-15)
+        assert f_hat_at(make_fit([[-1.0], [1.0]], [0.0, 2.0]),
+                        [0.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_point_derived_mean(self):
         fit = make_fit([[0.0], [1.0]], [1.0, 5.0])
         w1 = 1.0 / (1.0 + math.exp(-0.5))
-        assert predict_mean(fit, [0.0]) == pytest.approx(
+        assert f_hat_at(fit, [0.0]) == pytest.approx(
             w1 * 1.0 + (1.0 - w1) * 5.0, rel=1e-15)
-        assert predict_mean(fit, [0.0]) == pytest.approx(2.51016, abs=5e-6)
+        assert f_hat_at(fit, [0.0]) == pytest.approx(2.51016, abs=5e-6)
 
     def test_single_sample_variance_is_zero(self):
-        assert predict_variance(make_fit([[0.0]], [3.7]), [0.4]) == 0.0
+        assert sigma2_hat_at(make_fit([[0.0]], [3.7]), [0.4]) == 0.0
 
     def test_equidistant_pair_variance(self):
         fit = make_fit([[-1.0], [1.0]], [0.0, 2.0])
-        assert predict_variance(fit, [0.0]) == pytest.approx(1.0, abs=1e-14)
+        assert sigma2_hat_at(fit, [0.0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_response_variance(self):
         rng = np.random.default_rng(0)
         fit = make_fit(rng.normal(size=(25, 1)), np.full(25, 4.2), h=0.4)
-        assert predict_variance(fit, [0.1]) <= 1e-12
+        assert sigma2_hat_at(fit, [0.1]) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
@@ -107,10 +140,10 @@ class TestMeanVariance:
         q = rng.normal(size=1)
         base = make_fit(x, y, h=0.5)
         mapped = make_fit(x, scale * y + shift, h=0.5)
-        assert predict_mean(mapped, q) == pytest.approx(
-            scale * predict_mean(base, q) + shift, abs=1e-10)
-        assert predict_variance(mapped, q) == pytest.approx(
-            scale ** 2 * predict_variance(base, q), abs=1e-10)
+        assert f_hat_at(mapped, q) == pytest.approx(
+            scale * f_hat_at(base, q) + shift, abs=1e-10)
+        assert sigma2_hat_at(mapped, q) == pytest.approx(
+            scale ** 2 * sigma2_hat_at(base, q), abs=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(-20, 20))
@@ -122,30 +155,30 @@ class TestMeanVariance:
         q = rng.normal(size=1)
         base = make_fit(x, y, h=0.5)
         moved = make_fit(x + shift, y, h=0.5)
-        assert predict_mean(moved, q + shift) == pytest.approx(
-            predict_mean(base, q), abs=1e-12)
-        assert predict_variance(moved, q + shift) == pytest.approx(
-            predict_variance(base, q), abs=1e-12)
-        assert estimate_density(moved, q + shift) == pytest.approx(
-            estimate_density(base, q), abs=1e-12)
+        assert f_hat_at(moved, q + shift) == pytest.approx(
+            f_hat_at(base, q), abs=1e-12)
+        assert sigma2_hat_at(moved, q + shift) == pytest.approx(
+            sigma2_hat_at(base, q), abs=1e-12)
+        assert p_hat_at(moved, q + shift) == pytest.approx(
+            p_hat_at(base, q), abs=1e-12)
 
 
 class TestDensity:
     def test_single_point_at_own_location(self):
         fit = make_fit([[0.0]], [1.0])
-        assert estimate_density(fit, [0.0]) == pytest.approx(
+        assert p_hat_at(fit, [0.0]) == pytest.approx(
             (2 * math.pi) ** -0.5, rel=1e-15)
 
     def test_outside_bounded_support(self):
         fit = make_fit([[0.0], [0.2]], [1.0, 2.0],
                        kernel=kernel_spec("epanechnikov", 1), h=1.0)
-        assert estimate_density(fit, [5.0]) == 0.0
+        assert p_hat_at(fit, [5.0]) == 0.0
 
     def test_two_point_derived_case(self):
         fit = make_fit([[-1.0], [1.0]], [0.0, 0.0])
         expect = (2 * math.pi) ** -0.5 * math.exp(-0.5)
-        assert estimate_density(fit, [0.0]) == pytest.approx(expect, rel=1e-15)
-        assert estimate_density(fit, [0.0]) == pytest.approx(0.241971, abs=5e-7)
+        assert p_hat_at(fit, [0.0]) == pytest.approx(expect, rel=1e-15)
+        assert p_hat_at(fit, [0.0]) == pytest.approx(0.241971, abs=5e-7)
 
     def test_matches_formula_oracle(self):
         rng = np.random.default_rng(11)
@@ -153,7 +186,7 @@ class TestDensity:
                        kernel=kernel_spec("gaussian", 2))
         x = rng.normal(size=2)
         oracle = kernel_row_oracle(fit, x).sum() / (40 * 0.7 ** 2)
-        assert estimate_density(fit, x) == pytest.approx(oracle, rel=1e-12)
+        assert p_hat_at(fit, x) == pytest.approx(oracle, rel=1e-12)
 
     def test_density_mass_near_one(self):
         spec = SyntheticSpec(covariate_dists=(Uniform(-2.0, 2.0),),
@@ -163,7 +196,7 @@ class TestDensity:
         data = generate_synthetic(spec)
         fit = FitState(train=data, kernel=GAUSS1, h=0.2)
         grid = np.linspace(-3.0, 3.0, 600)
-        dens = np.array([estimate_density(fit, [g]) for g in grid])
+        dens = evaluate_batch(fit, grid[:, None]).p_hat
         mass = np.trapezoid(dens, grid)
         assert 0.97 <= mass <= 1.03
 
@@ -174,9 +207,13 @@ class TestEvaluatePoint:
         fit = make_fit(rng.normal(size=(30, 1)), rng.normal(size=30), h=0.4)
         x = [0.3]
         ev = evaluate_point(fit, x)
-        assert ev.f_hat == predict_mean(fit, x)
-        assert ev.sigma2_hat == predict_variance(fit, x)
-        assert ev.p_hat == estimate_density(fit, x)
+        k = kernel_row_oracle(fit, x)
+        w = k / k.sum()
+        f = float(w @ fit.train.y)
+        assert ev.f_hat == pytest.approx(f, rel=1e-14)
+        assert ev.sigma2_hat == pytest.approx(
+            float(w @ (fit.train.y - f) ** 2), rel=1e-12)
+        assert ev.weight_denominator == pytest.approx(k.sum(), rel=1e-14)
         assert ev.p_hat == ev.weight_denominator / (30 * 0.4)
 
     def test_degenerate_point(self):
@@ -185,6 +222,42 @@ class TestEvaluatePoint:
         ev = evaluate_point(fit, [3.0])
         assert ev.p_hat == 0.0 and ev.weight_denominator == 0.0
         assert math.isnan(ev.f_hat) and math.isnan(ev.sigma2_hat)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_batch_rows_equal_points_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        fit = make_fit(rng.normal(size=(37, d)), rng.normal(size=37), h=0.6,
+                       kernel=kernel_spec("gaussian", d))
+        queries = rng.normal(size=(_CHUNK // d + 7, d))  # more than one block
+        batch = evaluate_batch(fit, queries)
+        for i, x in enumerate(queries):
+            ev = evaluate_point(fit, x)
+            row = (batch.f_hat[i], batch.sigma2_hat[i], batch.p_hat[i],
+                   batch.weight_denominator[i])
+            assert (ev.f_hat, ev.sigma2_hat, ev.p_hat,
+                    ev.weight_denominator) == row
+            assert scalar_reference(fit, x) == row
+
+    def test_batch_zero_mass_rows(self):
+        fit = make_fit([[-0.5], [0.0], [0.4]], [1.0, 2.0, 4.0],
+                       kernel=kernel_spec("epanechnikov", 1), h=0.5)
+        queries = np.array([-3.0, -0.2, 0.1, 5.0, 0.3, 0.95])
+        empty = np.abs(queries[:, None] - fit.train.x[:, 0]).min(axis=1) >= 0.5
+        assert empty.tolist() == [True, False, False, True, False, True]
+        with np.errstate(all="raise"):
+            ev = evaluate_batch(fit, queries[:, None])
+        assert np.isnan(ev.f_hat).tolist() == empty.tolist()
+        assert np.isnan(ev.sigma2_hat).tolist() == empty.tolist()
+        assert (ev.p_hat == 0.0).tolist() == empty.tolist()
+        assert np.all(ev.p_hat[~empty] > 0.0)
+
+    def test_batch_rejects_wrong_shape(self):
+        fit = make_fit(np.zeros((3, 2)), [1.0, 2.0, 3.0],
+                       kernel=kernel_spec("gaussian", 2))
+        with pytest.raises(ValueError):
+            evaluate_batch(fit, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            evaluate_batch(fit, np.zeros(4))
 
 
 def loocv_oracle(data, kernel, grid):
@@ -196,11 +269,10 @@ def loocv_oracle(data, kernel, grid):
             keep = np.arange(data.n) != i
             sub = FitState(train=Dataset(x=data.x[keep], y=data.y[keep]),
                            kernel=kernel, h=float(h))
-            try:
-                pred = predict_mean(sub, data.x[i])
-                total += (data.y[i] - pred) ** 2
-            except DegenerateNeighborhood:
-                total += (data.y[i] - data.y.mean()) ** 2
+            pred = f_hat_at(sub, data.x[i])
+            if math.isnan(pred):  # zero kernel mass
+                pred = data.y.mean()
+            total += (data.y[i] - pred) ** 2
         if total < best:
             best_h, best = float(h), total
     return best_h
@@ -297,7 +369,7 @@ class TestConsistencySmoke:
                 data = generate_synthetic(
                     replace(sigmoid_spec, n=n, seed=derive_seed(97, n, rep)))
                 fit = FitState(train=data, kernel=gauss1d, h=n ** -0.2)
-                sq.append((predict_mean(fit, [0.5]) - target) ** 2)
+                sq.append((f_hat_at(fit, [0.5]) - target) ** 2)
             errors.append(np.mean(sq))
         assert errors[0] >= errors[1] >= errors[2]
 

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selreg.data import airfoil_like_spec, generate_synthetic
 from selreg.experiments import (ConfigError, Table, config_from_dict,
@@ -86,6 +88,77 @@ class TestConfigValidation:
             config_from_dict({"scenario": "coverage_mse_sweep", "seed": 1})
         problems = " ".join(err.value.problems)
         assert "lambdas" in problems and "data" in problems
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("lambda", "abc", "lambda"),
+        ("lambda", 10 ** 400, "lambda"),
+        ("beta", "x", "beta"),
+        ("beta", [0.05], "beta"),
+        ("h", {"fixed": "x"}, "h.fixed"),
+        ("h", {"power": {"c": "x"}}, "h.power.c"),
+        ("h", {"loocv": {"grid": [0.1, "x"]}}, "h.loocv.grid[1]"),
+        ("x_grid", {"linspace": [1, 2]}, "x_grid.linspace"),
+        ("x_grid", {"linspace": [-2, 2, 2.5]}, "x_grid.linspace"),
+        ("x_grid", {"linspace": [-2, 2, 10 ** 9]}, "x_grid.linspace"),
+        ("x_grid", ["a"], "x_grid[0]"),
+        ("beta_list", [0.05, None], "beta_list[1]"),
+        ("synthetic", {"covariates": [{"uniform": [2, -2]}], "mean": "quadratic",
+                       "sd": "sigmoid"}, "synthetic.covariates[0].uniform"),
+        ("synthetic", {"covariates": [{"normal": [0, 1, 2]}], "mean": "quadratic",
+                       "sd": "sigmoid"}, "synthetic.covariates[0].normal"),
+    ])
+    def test_bad_value_names_its_field(self, key, value, field):
+        bad = acceptance_config(**{key: value}, seed="nope")
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(bad)
+        assert any(p.startswith(field) for p in err.value.problems)
+        assert any("seed" in p for p in err.value.problems)  # still collected
+
+    def test_bad_data_fields_name_their_field(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"scenario": "coverage_mse_sweep", "seed": 1,
+                              "lambdas": [1.0], "beta_list": [0.05],
+                              "data": {"csv": "a.csv", "target_column": "x",
+                                       "pivot_feature": [1],
+                                       "train_quantile": "x"}})
+        for field in ("data.target_column", "data.pivot_feature",
+                      "data.train_quantile"):
+            assert any(p.startswith(field) for p in err.value.problems)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_json_value_parses_or_raises_config_error(self, data):
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=8)
+        fields = {
+            "lambda": json_values, "beta": json_values,
+            "beta_list": json_values, "z_list": json_values,
+            "lambdas": json_values,
+            "x_grid": json_values
+            | st.fixed_dictionaries({"linspace": json_values}),
+            "h": json_values | st.one_of(
+                *(st.fixed_dictionaries({kind: json_values})
+                  for kind in ("fixed", "power", "loocv")),
+                st.fixed_dictionaries({"power": st.fixed_dictionaries(
+                    {"c": json_values, "exponent": json_values})}),
+                st.fixed_dictionaries({"loocv": st.fixed_dictionaries(
+                    {"grid": json_values})})),
+            "synthetic": st.fixed_dictionaries({
+                "covariates": json_values | st.lists(st.one_of(
+                    *(st.fixed_dictionaries({kind: json_values})
+                      for kind in ("uniform", "normal"))), max_size=2),
+                "mean": st.just("quadratic"), "sd": st.just("sigmoid")}),
+        }
+        key = data.draw(st.sampled_from(sorted(fields)))
+        config = acceptance_config(**{key: data.draw(fields[key])})
+        try:
+            config_from_dict(config)
+        except ConfigError:
+            pass
 
 
 class TestWriteCsv:

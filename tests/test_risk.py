@@ -113,12 +113,12 @@ class TestMonteCarlo(object):
     def run(self, sigmoid_spec, sigmoid_truth, **kw):
         kernel = kernel_spec("gaussian", 1)
         args = dict(truth=sigmoid_truth, sampler=synthetic_sampler(sigmoid_spec),
-                    n=80, cfg=AbstentionConfig(lam=0.36, beta=0.05),
+                    n=80, cfgs=[AbstentionConfig(lam=0.36, beta=0.05)],
                     fit_rule=fixed_bandwidth(kernel, 0.35),
                     x_grid=[-1.6, -0.5, 0.3, 0.8, 1.6], replicates=30,
                     seed=321)
         args.update(kw)
-        return monte_carlo_expected_excess(**args)
+        return monte_carlo_expected_excess(**args)[0]
 
     def test_deterministic_given_seed(self, sigmoid_spec, sigmoid_truth):
         first = self.run(sigmoid_spec, sigmoid_truth)
@@ -148,11 +148,10 @@ class TestMonteCarlo(object):
                              n=50, seed=0)
         truth = GroundTruth(mean_fn=mean_quadratic,
                             sd_fn=lambda x: 0.0 * np.asarray(x))
-        reports = monte_carlo_expected_excess(
+        ((rep,),) = monte_carlo_expected_excess(
             truth, synthetic_sampler(spec), 50,
-            AbstentionConfig(lam=0.36, beta=0.05),
+            [AbstentionConfig(lam=0.36, beta=0.05)],
             fixed_bandwidth(gauss1d, 0.3), [0.0], replicates=1, seed=5)
-        (rep,) = reports
         assert rep.accept_fraction in (0.0, 1.0)
         assert rep.expected_excess >= 0.0
         assert rep.mc_stderr == 0.0
@@ -178,6 +177,16 @@ class TestMonteCarlo(object):
             oracle = oracle_risk(sigmoid_truth.variance_at(x), cfg.lam)
             assert np.mean(chows) - oracle == pytest.approx(
                 reports[i].expected_excess, abs=1e-12)
+
+    def test_methods_share_replicates(self, sigmoid_spec, sigmoid_truth):
+        testing = AbstentionConfig(lam=0.36, beta=0.05)
+        plugin = AbstentionConfig(lam=0.36, beta=0.5)
+        both = monte_carlo_expected_excess(
+            sigmoid_truth, synthetic_sampler(sigmoid_spec), 80,
+            [testing, plugin], fixed_bandwidth(kernel_spec("gaussian", 1), 0.35),
+            [-1.6, -0.5, 0.3, 0.8, 1.6], replicates=30, seed=321)
+        assert both == [self.run(sigmoid_spec, sigmoid_truth, cfgs=[testing]),
+                        self.run(sigmoid_spec, sigmoid_truth, cfgs=[plugin])]
 
     def test_rejects_bad_arguments(self, sigmoid_spec, sigmoid_truth):
         with pytest.raises(ValueError):
