@@ -3,12 +3,13 @@
 All estimators evaluate against a frozen FitState (training data + kernel +
 bandwidth). ``evaluate_batch`` is the one evaluation path: it scores m query
 points in one pass over the training data, in row blocks of
-max(1, _CHUNK // d) query points, so that a block holds at most _CHUNK x n
-coordinate differences, the memory bound LOO-CV's row block also keeps.
-Within a block each query row gets its own kernel row, weight sum and dot
-products, so its estimates are the same bits whatever it is batched with;
-``evaluate_point`` is the one-point view. Evaluation is exact brute force,
-O(n) per query point; at desk scale (n <= 2e4) nothing faster is needed.
+max(1, _BLOCK // (n * d)) query points, so that a block holds at most
+_BLOCK coordinate differences. Within a block each query row gets its own
+kernel row, weight sum and dot products, so its estimates are the same bits
+whatever it is batched with; ``evaluate_point`` is the one-point view.
+Evaluation is exact brute force, O(n) per query point; at desk scale
+(n <= 2e4) nothing faster is needed. LOO-CV bandwidth selection works on
+row blocks of the same budget of kernel values.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import numpy as np
 
 from .kernels import KernelSpec, eval_sq
 
-# Row-block size for pairwise-distance work (LOO-CV, batched evaluation);
-# bounds peak memory.
-_CHUNK = 1024
+# Values per row block of pairwise work: kernel values in LOO-CV
+# (max(1, _BLOCK // n) rows), coordinate differences in evaluate_batch
+# (max(1, _BLOCK // (n * d)) query rows). 2^17 float64 values are 1 MB, so
+# every elementwise pass over a block stays in a core's L2 cache.
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -107,16 +110,17 @@ def _query_point(fit: FitState, x) -> np.ndarray:
 def evaluate_batch(fit: FitState, X) -> PointEvaluation:
     """Mean, variance and density estimates at each row of X.
 
-    X is an (m, d) matrix; the fields of the result are length-m arrays. Rows are processed in blocks
-    of at most _CHUNK x n coordinate differences, and every row is computed
-    on its own, so a row does not depend on the rows batched with it.
+    X is an (m, d) matrix; the fields of the result are length-m arrays.
+    Rows are processed in blocks of at most _BLOCK coordinate differences
+    (at least one row), and every row is computed on its own, so a row does
+    not depend on the rows batched with it.
     """
     train, h = fit.train, fit.h
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != train.d:
         raise ValueError(f"queries have shape {X.shape}, expected (m, {train.d})")
     f_hat, sigma2_hat, denom = np.empty((3, X.shape[0]))
-    step = max(1, _CHUNK // train.d)
+    step = max(1, _BLOCK // (train.n * train.d))
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, lo + step)
         diff = (train.x - X[rows, None, :]) / h
@@ -150,13 +154,14 @@ def default_bandwidth_grid(data: Dataset, num: int = 30) -> np.ndarray:
     return np.geomspace(0.05 * spread, spread, num)
 
 
-def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
-    """Pick the grid bandwidth minimizing the leave-one-out squared error.
+def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
+    """Leave-one-out squared error sum_i (y_i - f_{-i}(x_i))^2 for each h.
 
-    For each h the criterion is sum_i (y_i - f_{-i}(x_i))^2, where f_{-i} is
-    the NW mean fit without sample i. A held-out point whose remaining
-    kernel mass is zero contributes the penalty (y_i - mean(y))^2, keeping
-    the criterion finite and comparable across h. Ties go to the smaller h.
+    The scores follow the order of ``grid``. The kernel matrix is symmetric,
+    so each pair is evaluated once: a block holds rows lo:hi and only the
+    columns lo:n, with the diagonal distance set to +inf (K = 0 there).
+    ``block @ [1, y]`` gives those rows' kernel mass and weighted-y sums, and
+    the transposed block adds the mirrored sums of columns hi:n.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -169,28 +174,60 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     if n < 3:
         raise ValueError("LOO-CV needs at least 3 samples")
 
-    y = data.y
+    x, y = data.x, data.y
+    ones_y = np.column_stack([np.ones(n), y])
+    # sums[j, i]: kernel mass and kernel-weighted y of row i without sample i,
+    # at grid[j]
+    sums = np.zeros((grid.size, n, 2))
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    step = min(n, max(1, _BLOCK // n))
+    sq_buf, buf = np.empty((2, step * n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        size = (hi - lo) * (n - lo)
+        sq = sq_buf[:size].reshape(hi - lo, n - lo)
+        vals = buf[:size].reshape(sq.shape)
+        # squared distances of the block, shared by all h:
+        # max(|x_i|^2 + |x_k|^2 - 2 x_i.x_k, 0), with no temporary arrays
+        np.add(sq_norms[lo:hi, None], sq_norms[None, lo:], out=sq)
+        np.matmul(x[lo:hi], x[lo:].T, out=vals)
+        np.subtract(sq, np.multiply(2.0, vals, out=vals), out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        diag = np.arange(hi - lo)
+        sq[diag, diag] = np.inf
+        for j, h in enumerate(grid):
+            eval_sq(kernel, np.divide(sq, h * h, out=vals), out=vals)
+            sums[j, lo:hi] += vals @ ones_y[lo:]
+            sums[j, hi:] += vals[:, hi - lo:].T @ ones_y[lo:hi]
+    mass, weighted = sums[..., 0], sums[..., 1]
+    # a held-out point with zero mass (every kernel value exactly 0) scores
+    # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart:
+    # on a plateau of scores equal in exact arithmetic (few neighbours per
+    # point) the summation order decides by rounding which h wins, and this
+    # order keeps the h that the committed results were made with.
+    ok = mass > 0.0
+    err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
     fallback = np.square(y - y.mean())
-    ordered = np.sort(grid)
-    scores = np.zeros(ordered.size)
-    sq_norms = np.einsum("ij,ij->i", data.x, data.x)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        # pairwise squared distances for this row block, shared by all h
-        sq = np.maximum(sq_norms[lo:hi, None] + sq_norms[None, :]
-                        - 2.0 * (data.x[lo:hi] @ data.x.T), 0.0)
-        rows = np.arange(lo, hi)
-        for j, h in enumerate(ordered):
-            vals = np.asarray(eval_sq(kernel, sq / (h * h)))
-            vals[rows - lo, rows] = 0.0
-            denom = vals.sum(axis=1)
-            ok = denom > 0.0
-            pred_err = np.where(ok, y[lo:hi] - (vals @ y)
-                                / np.where(ok, denom, 1.0), 0.0)
-            scores[j] += (float(np.sum(np.square(pred_err)))
-                          + float(np.sum(fallback[lo:hi][~ok])))
+    return np.array([e.sum() + fallback[~o].sum() for e, o in zip(err, ok)])
+
+
+def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
+    """Pick the grid bandwidth minimizing the leave-one-out squared error.
+
+    For each h the criterion is sum_i (y_i - f_{-i}(x_i))^2, where f_{-i} is
+    the NW mean fit without sample i. A held-out point whose remaining
+    kernel mass is zero contributes the penalty (y_i - mean(y))^2, keeping
+    the criterion finite and comparable across h. Ties go to the smaller h.
+
+    Cost: the kernel matrix is symmetric, so each pair of samples is
+    evaluated once per grid h, about n^2 / 2 kernel values (plus the small
+    diagonal squares of the blocks), half of the full matrix. Memory: one
+    block (at most _BLOCK kernel values and as many squared distances)
+    plus 2 * len(grid) * n floats of accumulated sums.
+    """
+    ordered = np.sort(np.asarray(grid, dtype=float))
     # argmin takes the first minimum, so exact ties go to the smaller h
-    return float(ordered[np.argmin(scores)])
+    return float(ordered[np.argmin(_loocv_scores(data, kernel, ordered))])
 
 
 def fixed_bandwidth(kernel: KernelSpec, h: float) -> Callable[[Dataset], FitState]:

@@ -339,8 +339,13 @@ def _parse_h(raw, problems) -> HPolicy:
     if isinstance(raw, dict) and set(raw) == {"loocv"} \
             and isinstance(raw["loocv"], dict):
         grid = raw["loocv"].get("grid")
-        return HPolicy(kind="loocv", grid=None if grid is None
-                       else _reals(grid, "h.loocv.grid", problems))
+        if grid is not None:
+            grid = _reals(grid, "h.loocv.grid", problems)
+            for i, h in enumerate(grid or ()):
+                if not (math.isfinite(h) and h > 0.0):
+                    problems.append(f"h.loocv.grid[{i}] must be a positive "
+                                    f"finite real, got {h!r}")
+        return HPolicy(kind="loocv", grid=grid)
     if isinstance(raw, dict) and set(raw) == {"fixed"}:
         h = _convert(raw["fixed"], "h.fixed", problems)
         if h is not None and not h > 0.0:

@@ -74,18 +74,30 @@ def eval_kernel(kernel: KernelSpec, t) -> float:
     return float(eval_sq(kernel, np.dot(t, t)))
 
 
-def eval_sq(kernel: KernelSpec, sq_norms):
+def eval_sq(kernel: KernelSpec, sq_norms, out=None):
     """Evaluate K at points given by their squared norms ||t||^2.
 
     Both supported kernels are radial, so this is the single evaluation
-    path shared by scalar queries and the batched estimators.
+    path shared by scalar queries and the batched estimators. The values
+    are written into ``out`` when given (it may be ``sq_norms`` itself) and
+    into a new array otherwise; both forms run the same operations, so
+    they give the same bits.
     """
     sq = np.asarray(sq_norms, dtype=float)
-    d = kernel.dimension
+    if out is None:
+        out = np.empty_like(sq)
     if kernel.kind is KernelKind.GAUSSIAN:
-        return (2.0 * math.pi) ** (-d / 2.0) * np.exp(-0.5 * sq)
-    # Epanechnikov, d = 1: 0.75 * (1 - t^2) on |t| <= 1.
-    return np.where(sq <= 1.0, 0.75 * (1.0 - sq), 0.0)
+        np.multiply(-0.5, sq, out=out)
+        np.exp(out, out=out)
+        return np.multiply((2.0 * math.pi) ** (-kernel.dimension / 2.0), out,
+                           out=out)
+    # Epanechnikov, d = 1: 0.75 * (1 - t^2) on |t| <= 1, 0 elsewhere
+    # (including NaN); the mask is taken before ``out`` may overwrite ``sq``.
+    outside = ~(sq <= 1.0)
+    np.subtract(1.0, sq, out=out)
+    np.multiply(0.75, out, out=out)
+    out[outside] = 0.0
+    return out
 
 
 def l2_norm_of(kind, dimension: int) -> float:

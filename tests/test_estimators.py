@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
                     generate_synthetic, kernel_spec, mean_quadratic)
 from selreg.data import derive_seed
-from selreg.estimators import (_CHUNK, default_bandwidth_grid, evaluate_batch,
-                               evaluate_point, select_bandwidth_loocv)
+from selreg import estimators
+from selreg.estimators import (_BLOCK, _loocv_scores, default_bandwidth_grid,
+                               evaluate_batch, evaluate_point,
+                               select_bandwidth_loocv)
 from selreg.kernels import eval_sq
 
 from conftest import make_fit
@@ -228,7 +230,8 @@ class TestEvaluatePoint:
         rng = np.random.default_rng(40 + d)
         fit = make_fit(rng.normal(size=(37, d)), rng.normal(size=37), h=0.6,
                        kernel=kernel_spec("gaussian", d))
-        queries = rng.normal(size=(_CHUNK // d + 7, d))  # more than one block
+        # more than one block of _BLOCK coordinate differences
+        queries = rng.normal(size=(_BLOCK // (37 * d) + 7, d))
         batch = evaluate_batch(fit, queries)
         for i, x in enumerate(queries):
             ev = evaluate_point(fit, x)
@@ -261,9 +264,10 @@ class TestEvaluatePoint:
 
 
 def loocv_oracle(data, kernel, grid):
-    """Brute-force LOO-CV: refit on each leave-one-out subset."""
-    best_h, best = None, math.inf
-    for h in np.sort(np.asarray(grid, dtype=float)):
+    """Brute-force LOO-CV scores, one per grid h in grid order: refit on each
+    leave-one-out subset."""
+    scores = []
+    for h in np.asarray(grid, dtype=float):
         total = 0.0
         for i in range(data.n):
             keep = np.arange(data.n) != i
@@ -273,9 +277,14 @@ def loocv_oracle(data, kernel, grid):
             if math.isnan(pred):  # zero kernel mass
                 pred = data.y.mean()
             total += (data.y[i] - pred) ** 2
-        if total < best:
-            best_h, best = float(h), total
-    return best_h
+        scores.append(total)
+    return np.array(scores)
+
+
+def oracle_h(data, kernel, grid):
+    """The oracle's choice: the first minimum over the sorted grid."""
+    ordered = np.sort(np.asarray(grid, dtype=float))
+    return float(ordered[np.argmin(loocv_oracle(data, kernel, ordered))])
 
 
 class TestBandwidthSelection:
@@ -303,7 +312,7 @@ class TestBandwidthSelection:
         y = x[:, 0] ** 2 / 4 + rng.normal(scale=0.3, size=24)
         data = Dataset(x=x, y=y)
         grid = np.geomspace(0.1, 2.0, 8)
-        assert select_bandwidth_loocv(data, kernel, grid) == loocv_oracle(
+        assert select_bandwidth_loocv(data, kernel, grid) == oracle_h(
             data, kernel, grid)
 
     def test_duplication_keeps_selection(self, gauss1d):
@@ -320,8 +329,8 @@ class TestBandwidthSelection:
         picked = select_bandwidth_loocv(data, gauss1d, grid)
         assert grid[0] < picked < grid[-1]
         assert select_bandwidth_loocv(doubled, gauss1d, grid) == picked
-        assert loocv_oracle(data, gauss1d, grid) == picked
-        assert loocv_oracle(doubled, gauss1d, grid) == picked
+        assert oracle_h(data, gauss1d, grid) == picked
+        assert oracle_h(doubled, gauss1d, grid) == picked
 
     def test_selected_bandwidth_interior_on_smooth_data(self, gauss1d,
                                                         sigmoid_spec):
@@ -356,6 +365,61 @@ class TestBandwidthSelection:
         assert len(grid) == 30
         assert grid[0] == pytest.approx(0.05 * spread)
         assert grid[-1] == pytest.approx(spread)
+
+
+# (kernel, d) pairs; the Epanechnikov kernel exists for d = 1 only
+KERNEL_DIMS = [("gaussian", 1), ("gaussian", 2), ("epanechnikov", 1)]
+
+# budgets of kernel values per LOO-CV block at n = 40: one block of 40 rows,
+# exactly two blocks of 20, fourteen blocks of 3 with a one-row last block,
+# and a budget below n, which still takes one row per block
+BLOCK_BUDGETS = [40 * 40, 20 * 40, 3 * 40, 1]
+
+
+class TestLoocvBlocks:
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    @pytest.mark.parametrize("kind,d", KERNEL_DIMS)
+    def test_score_curve_matches_oracle(self, monkeypatch, kind, d, budget):
+        monkeypatch.setattr(estimators, "_BLOCK", budget)
+        kernel = kernel_spec(kind, d)
+        rng = np.random.default_rng(60 + d)
+        x = rng.uniform(-2, 2, size=(40, d))
+        y = x.sum(axis=1) ** 2 / 4 + rng.normal(scale=0.3, size=40)
+        data = Dataset(x=x, y=y)
+        grid = np.geomspace(0.1, 3.0, 8)[::-1]  # scores follow grid order
+        scores = _loocv_scores(data, kernel, grid)
+        np.testing.assert_allclose(scores, loocv_oracle(data, kernel, grid),
+                                   rtol=1e-12, atol=0.0)
+        assert select_bandwidth_loocv(data, kernel, grid) == oracle_h(
+            data, kernel, grid)
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    @pytest.mark.parametrize("kind,d,far", [("gaussian", 1, 50.0),
+                                            ("gaussian", 2, 50.0),
+                                            ("epanechnikov", 1, 5.0)])
+    def test_isolated_point_scores_exactly_the_fallback(self, monkeypatch,
+                                                        kind, d, far, budget):
+        # Every cluster point has y = 0, so its leave-one-out prediction and
+        # error are exactly 0 and the whole score is the isolated point's
+        # term. Its kernel values are exactly 0 (the Gaussian underflows at
+        # distance >= 49 h, the Epanechnikov support ends at h), so the term
+        # is the fallback (y_i - mean(y))^2, bit for bit.
+        monkeypatch.setattr(estimators, "_BLOCK", budget)
+        kernel = kernel_spec(kind, d)
+        rng = np.random.default_rng(70 + d)
+        x = rng.uniform(0.0, 1.0, size=(40, d))
+        x[17] = far
+        y = np.zeros(40)
+        y[17] = 3.0
+        data = Dataset(x=x, y=y)
+        grid = [0.3, 0.6, 1.0]
+        cluster = Dataset(x=np.delete(x, 17, axis=0), y=np.delete(y, 17))
+        for h in grid:
+            assert evaluate_point(FitState(cluster, kernel, h),
+                                  x[17]).weight_denominator == 0.0
+        fallback = (3.0 - y.mean()) ** 2
+        assert _loocv_scores(data, kernel, grid).tolist() == [fallback] * 3
+        assert loocv_oracle(data, kernel, grid).tolist() == [fallback] * 3
 
 
 class TestConsistencySmoke:

@@ -114,6 +114,23 @@ class TestConfigValidation:
         assert any(p.startswith(field) for p in err.value.problems)
         assert any("seed" in p for p in err.value.problems)  # still collected
 
+    @pytest.mark.parametrize("grid_json,problem", [
+        ("[-1, 0.5]", "h.loocv.grid[0] must be a positive finite real, got -1.0"),
+        ("[0]", "h.loocv.grid[0] must be a positive finite real, got 0.0"),
+        ("[0.5, Infinity]",
+         "h.loocv.grid[1] must be a positive finite real, got inf"),
+        ("[NaN]", "h.loocv.grid[0] must be a positive finite real, got nan"),
+    ])
+    def test_bad_loocv_grid_fails_before_the_run(self, tmp_path, grid_json,
+                                                 problem):
+        cfg = acceptance_config(h={"loocv": {"grid": json.loads(grid_json)}})
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(cfg)
+        assert problem in err.value.problems
+        with pytest.raises(ConfigError):
+            run_scenario(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_data_fields_name_their_field(self):
         with pytest.raises(ConfigError) as err:
             config_from_dict({"scenario": "coverage_mse_sweep", "seed": 1,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from selreg.kernels import (KernelKind, eval_kernel, kernel_spec, l2_norm_of,
-                            lower_bound_constants)
+from selreg.kernels import (KernelKind, eval_kernel, eval_sq, kernel_spec,
+                            l2_norm_of, lower_bound_constants)
 
 
 def gaussian_pdf(t, d):
@@ -48,6 +48,34 @@ class TestEval:
         for t in np.linspace(-1.4, 1.4, 29):
             assert eval_kernel(k, [t]) == pytest.approx(epanechnikov_pdf(t),
                                                         abs=1e-15)
+
+
+class TestEvalSqOut:
+    # squared norms across the Gaussian's underflow, beyond the Epanechnikov
+    # support (> 1) and at infinity, the LOO-CV diagonal
+    SQ = np.array([0.0, 1e-300, 0.25, 1.0, 1.0 + 2 ** -52, 4.0, 1416.0,
+                   1490.0, 1e4, 1e308, np.inf])
+
+    @pytest.mark.parametrize("kind,d", [("gaussian", 1), ("gaussian", 3),
+                                        ("epanechnikov", 1)])
+    def test_out_equals_allocating_form_bit_for_bit(self, kind, d):
+        k = kernel_spec(kind, d)
+        # a matrix, as the LOO-CV blocks are
+        sq = np.concatenate([self.SQ, np.linspace(0.0, 3.0, 301)])
+        sq = sq.reshape(12, 26)
+        alloc = eval_sq(k, sq)
+        out = np.full_like(sq, np.nan)
+        assert eval_sq(k, sq, out=out) is out
+        assert out.tobytes() == alloc.tobytes()
+        inplace = sq.copy()  # out may be the input itself
+        assert eval_sq(k, inplace, out=inplace) is inplace
+        assert inplace.tobytes() == alloc.tobytes()
+        # the allocating form is the textbook formula, bit for bit
+        if k.kind is KernelKind.GAUSSIAN:
+            formula = (2.0 * math.pi) ** (-d / 2.0) * np.exp(-0.5 * sq)
+        else:
+            formula = np.where(sq <= 1.0, 0.75 * (1.0 - sq), 0.0)
+        assert alloc.tobytes() == formula.tobytes()
 
 
 class TestL2Norm:
