@@ -9,7 +9,9 @@ kernel row, weight sum and dot products, so its estimates are the same bits
 whatever it is batched with; ``evaluate_point`` is the one-point view.
 Evaluation is exact brute force, O(n) per query point; at desk scale
 (n <= 2e4) nothing faster is needed. LOO-CV bandwidth selection works on
-row blocks of the same budget of kernel values.
+row blocks of the same budget of kernel values, two elementwise passes and
+two matrix products per block and grid h; its argmin breaks near-ties
+(relative 1e-9) towards the smaller h.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_sq
+from .kernels import KernelSpec, eval_sq, shape_sq
 
 # Values per row block of pairwise work: kernel values in LOO-CV
 # (max(1, _BLOCK // n) rows), coordinate differences in evaluate_batch
 # (max(1, _BLOCK // (n * d)) query rows). 2^17 float64 values are 1 MB, so
 # every elementwise pass over a block stays in a core's L2 cache.
 _BLOCK = 1 << 17
+
+# LOO-CV scores within this relative distance of the minimum tie; the
+# smallest tied h wins
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,8 +166,11 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     The scores follow the order of ``grid``. The kernel matrix is symmetric,
     so each pair is evaluated once: a block holds rows lo:hi and only the
     columns lo:n, with the diagonal distance set to +inf (K = 0 there).
-    ``block @ [1, y]`` gives those rows' kernel mass and weighted-y sums, and
-    the transposed block adds the mirrored sums of columns hi:n.
+    Per grid h the block is overwritten with the shape g(||x_i - x_k||^2 /
+    h^2) (one multiply, one exp), ``block @ K(0) [1, y]`` gives those rows'
+    kernel mass and weighted-y sums, and the transposed block adds the
+    mirrored sums of columns hi:n. A row has zero mass when every product
+    K(0) * g is exactly 0 (outside the support, or by underflow).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -175,7 +184,9 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
         raise ValueError("LOO-CV needs at least 3 samples")
 
     x, y = data.x, data.y
-    ones_y = np.column_stack([np.ones(n), y])
+    # K(0) scales the operand rather than being dropped, so each product
+    # K(0) * g, and a zero mass, underflows as the kernel value itself does
+    peak_y = kernel.peak * np.column_stack([np.ones(n), y])
     # sums[j, i]: kernel mass and kernel-weighted y of row i without sample i,
     # at grid[j]
     sums = np.zeros((grid.size, n, 2))
@@ -196,15 +207,13 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
         diag = np.arange(hi - lo)
         sq[diag, diag] = np.inf
         for j, h in enumerate(grid):
-            eval_sq(kernel, np.divide(sq, h * h, out=vals), out=vals)
-            sums[j, lo:hi] += vals @ ones_y[lo:]
-            sums[j, hi:] += vals[:, hi - lo:].T @ ones_y[lo:hi]
+            shape_sq(kernel, sq, 1.0 / (h * h), out=vals)
+            sums[j, lo:hi] += vals @ peak_y[lo:]
+            sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
     mass, weighted = sums[..., 0], sums[..., 1]
     # a held-out point with zero mass (every kernel value exactly 0) scores
-    # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart:
-    # on a plateau of scores equal in exact arithmetic (few neighbours per
-    # point) the summation order decides by rounding which h wins, and this
-    # order keeps the h that the committed results were made with.
+    # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart,
+    # errors first, the order the committed results were made with.
     ok = mass > 0.0
     err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
     fallback = np.square(y - y.mean())
@@ -217,17 +226,26 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     For each h the criterion is sum_i (y_i - f_{-i}(x_i))^2, where f_{-i} is
     the NW mean fit without sample i. A held-out point whose remaining
     kernel mass is zero contributes the penalty (y_i - mean(y))^2, keeping
-    the criterion finite and comparable across h. Ties go to the smaller h.
+    the criterion finite and comparable across h.
+
+    Ties go to the smaller h: the result is the smallest grid h whose score
+    is at most min * (1 + 1e-9). Scores that are equal in exact arithmetic
+    (a plateau where every point keeps the same few neighbours, common for
+    the Epanechnikov kernel at small n) differ in their last bits with the
+    order of the floating-point operations, and the band keeps such rounding
+    from deciding which h wins.
 
     Cost: the kernel matrix is symmetric, so each pair of samples is
     evaluated once per grid h, about n^2 / 2 kernel values (plus the small
-    diagonal squares of the blocks), half of the full matrix. Memory: one
-    block (at most _BLOCK kernel values and as many squared distances)
-    plus 2 * len(grid) * n floats of accumulated sums.
+    diagonal squares of the blocks), half of the full matrix; per h that is
+    one multiply and one exp over the values and two matrix products.
+    Memory: one block (at most _BLOCK kernel values and as many squared
+    distances) plus 2 * len(grid) * n floats of accumulated sums.
     """
     ordered = np.sort(np.asarray(grid, dtype=float))
-    # argmin takes the first minimum, so exact ties go to the smaller h
-    return float(ordered[np.argmin(_loocv_scores(data, kernel, ordered))])
+    scores = _loocv_scores(data, kernel, ordered)
+    tied = scores <= scores.min() * (1.0 + _TIE_RTOL)
+    return float(ordered[np.argmax(tied)])  # the first True: the smallest h
 
 
 def fixed_bandwidth(kernel: KernelSpec, h: float) -> Callable[[Dataset], FitState]:

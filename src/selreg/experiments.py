@@ -294,13 +294,20 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _convert(raw, field: str, problems: list, kind=float):
-    """kind(raw), or None after recording a problem that names the field."""
+    """kind(raw), or None after recording a problem that names the field.
+
+    A bool is refused (JSON true is not the number 1), and so is a real
+    that is infinite or NaN.
+    """
     try:
-        return kind(raw)
+        value = None if isinstance(raw, bool) else kind(raw)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a real"
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite real"
         problems.append(f"{field} must be {what}, got {raw!r}")
         return None
+    return value
 
 
 def _reals(raw, field: str, problems: list) -> Optional[tuple]:
@@ -341,8 +348,8 @@ def _parse_h(raw, problems) -> HPolicy:
         grid = raw["loocv"].get("grid")
         if grid is not None:
             grid = _reals(grid, "h.loocv.grid", problems)
-            for i, h in enumerate(grid or ()):
-                if not (math.isfinite(h) and h > 0.0):
+            for i, h in enumerate(grid or ()):  # finite by _convert
+                if not h > 0.0:
                     problems.append(f"h.loocv.grid[{i}] must be a positive "
                                     f"finite real, got {h!r}")
         return HPolicy(kind="loocv", grid=grid)

@@ -12,7 +12,7 @@ from selreg import estimators
 from selreg.estimators import (_BLOCK, _loocv_scores, default_bandwidth_grid,
                                evaluate_batch, evaluate_point,
                                select_bandwidth_loocv)
-from selreg.kernels import eval_sq
+from selreg.kernels import eval_sq, shape_sq
 
 from conftest import make_fit
 
@@ -348,6 +348,35 @@ class TestBandwidthSelection:
         data = Dataset(x=[[0.0], [10.0], [20.0]], y=[1.0, 2.0, 4.0])
         assert select_bandwidth_loocv(data, kernel, [2.0, 1.0, 5.0]) == 1.0
 
+    def test_plateau_ties_go_to_the_smallest_h(self):
+        # every point keeps the same neighbours for h in [0.05, 0.50], so the
+        # scores there are equal in exact arithmetic and differ in rounding
+        # only; the smallest h must win whatever the last bits say
+        kernel = kernel_spec("epanechnikov", 1)
+        x = [-0.45170633132156235, 0.0513304871418474, 0.5584796838548423,
+             0.5996524311542477]
+        y = [0.009866761618496193, 0.02584988473519571, -0.25001557346297226,
+             -0.14770862696482245]
+        data = Dataset(x=np.array(x)[:, None], y=y)
+        grid = np.geomspace(0.05, 3, 17)
+        scores = _loocv_scores(data, kernel, grid)
+        plateau = scores[:10]
+        assert np.ptp(plateau) <= 1e-15 * plateau.min()
+        assert scores[10:].min() > plateau.max()
+        assert select_bandwidth_loocv(data, kernel, grid) == 0.05
+        assert select_bandwidth_loocv(data, kernel, grid[::-1]) == 0.05
+
+    @pytest.mark.parametrize("first,picked", [(1.0 + 0.9e-9, 0.1),
+                                              (1.0 + 1.1e-9, 0.2)])
+    def test_tie_band_edges(self, monkeypatch, first, picked):
+        # a score within a relative 1e-9 of the minimum ties with it and the
+        # smaller h wins; just outside the band the minimum wins
+        monkeypatch.setattr(estimators, "_loocv_scores",
+                            lambda data, kernel, grid: np.array(
+                                [first, 1.0, 2.0]))
+        data = Dataset(x=[[0.0], [1.0], [2.0]], y=[0.0, 1.0, 0.0])
+        assert select_bandwidth_loocv(data, GAUSS1, [0.1, 0.2, 0.4]) == picked
+
     def test_grid_order_does_not_matter(self, gauss1d):
         rng = np.random.default_rng(17)
         data = Dataset(x=rng.uniform(-2, 2, size=(18, 1)),
@@ -369,6 +398,10 @@ class TestBandwidthSelection:
 
 # (kernel, d) pairs; the Epanechnikov kernel exists for d = 1 only
 KERNEL_DIMS = [("gaussian", 1), ("gaussian", 2), ("epanechnikov", 1)]
+
+# Gaussian d = 2: exp(-0.5 * 38.57^2) is 2 ulps of the smallest subnormal,
+# and K(0) = 1 / (2 pi) times that rounds to 0
+SUBNORMAL_GAP = 38.57
 
 # budgets of kernel values per LOO-CV block at n = 40: one block of 40 rows,
 # exactly two blocks of 20, fourteen blocks of 3 with a one-row last block,
@@ -394,26 +427,35 @@ class TestLoocvBlocks:
             data, kernel, grid)
 
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
-    @pytest.mark.parametrize("kind,d,far", [("gaussian", 1, 50.0),
+    @pytest.mark.parametrize("kind,d,gap", [("gaussian", 1, 50.0),
                                             ("gaussian", 2, 50.0),
+                                            ("gaussian", 2, SUBNORMAL_GAP),
                                             ("epanechnikov", 1, 5.0)])
     def test_isolated_point_scores_exactly_the_fallback(self, monkeypatch,
-                                                        kind, d, far, budget):
+                                                        kind, d, gap, budget):
         # Every cluster point has y = 0, so its leave-one-out prediction and
         # error are exactly 0 and the whole score is the isolated point's
-        # term. Its kernel values are exactly 0 (the Gaussian underflows at
-        # distance >= 49 h, the Epanechnikov support ends at h), so the term
-        # is the fallback (y_i - mean(y))^2, bit for bit.
+        # term. Its kernel values are exactly 0 (the Gaussian's underflow
+        # from about 38.5 h on, the Epanechnikov support ends at h), so the
+        # term is the fallback (y_i - mean(y))^2, bit for bit.
         monkeypatch.setattr(estimators, "_BLOCK", budget)
         kernel = kernel_spec(kind, d)
         rng = np.random.default_rng(70 + d)
         x = rng.uniform(0.0, 1.0, size=(40, d))
-        x[17] = far
+        # gap away from the cluster's outermost point along the diagonal, so
+        # every cluster point is at least gap away
+        x[17] = x[np.argmax(x.sum(axis=1))] + gap / math.sqrt(d)
         y = np.zeros(40)
         y[17] = 3.0
         data = Dataset(x=x, y=y)
         grid = [0.3, 0.6, 1.0]
         cluster = Dataset(x=np.delete(x, 17, axis=0), y=np.delete(y, 17))
+        if gap == SUBNORMAL_GAP:
+            # at h = 1 some shapes are positive subnormals, but every
+            # product K(0) * g rounds to 0: zero mass all the same
+            shapes = shape_sq(kernel, np.sum((cluster.x - x[17]) ** 2, axis=1))
+            assert 0.0 < shapes.max() <= 3 * 2.0 ** -1074
+            assert not np.any(kernel.peak * shapes)
         for h in grid:
             assert evaluate_point(FitState(cluster, kernel, h),
                                   x[17]).weight_denominator == 0.0

@@ -92,6 +92,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value,field", [
         ("lambda", "abc", "lambda"),
         ("lambda", 10 ** 400, "lambda"),
+        ("lambda", True, "lambda"),
+        ("lambda", math.inf, "lambda"),
         ("beta", "x", "beta"),
         ("beta", [0.05], "beta"),
         ("h", {"fixed": "x"}, "h.fixed"),
@@ -101,6 +103,12 @@ class TestConfigValidation:
         ("x_grid", {"linspace": [-2, 2, 2.5]}, "x_grid.linspace"),
         ("x_grid", {"linspace": [-2, 2, 10 ** 9]}, "x_grid.linspace"),
         ("x_grid", ["a"], "x_grid[0]"),
+        ("x_grid", [math.inf], "x_grid[0]"),
+        ("x_grid", [math.nan], "x_grid[0]"),
+        ("x_grid", [0.5, False], "x_grid[1]"),
+        ("x_grid", {"linspace": [-math.inf, 2, 5]}, "x_grid.linspace[0]"),
+        ("x_grid", {"linspace": [-2, 2, math.nan]}, "x_grid.linspace[2]"),
+        ("h", {"power": {"c": 1.0, "exponent": True}}, "h.power.exponent"),
         ("beta_list", [0.05, None], "beta_list[1]"),
         ("synthetic", {"covariates": [{"uniform": [2, -2]}], "mean": "quadratic",
                        "sd": "sigmoid"}, "synthetic.covariates[0].uniform"),
@@ -117,9 +125,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("grid_json,problem", [
         ("[-1, 0.5]", "h.loocv.grid[0] must be a positive finite real, got -1.0"),
         ("[0]", "h.loocv.grid[0] must be a positive finite real, got 0.0"),
-        ("[0.5, Infinity]",
-         "h.loocv.grid[1] must be a positive finite real, got inf"),
-        ("[NaN]", "h.loocv.grid[0] must be a positive finite real, got nan"),
+        ("[0.5, Infinity]", "h.loocv.grid[1] must be a finite real, got inf"),
+        ("[NaN]", "h.loocv.grid[0] must be a finite real, got nan"),
     ])
     def test_bad_loocv_grid_fails_before_the_run(self, tmp_path, grid_json,
                                                  problem):

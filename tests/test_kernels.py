@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from selreg.kernels import (KernelKind, eval_kernel, eval_sq, kernel_spec,
-                            l2_norm_of, lower_bound_constants)
+                            shape_sq)
 
 
 def gaussian_pdf(t, d):
@@ -77,49 +77,92 @@ class TestEvalSqOut:
             formula = np.where(sq <= 1.0, 0.75 * (1.0 - sq), 0.0)
         assert alloc.tobytes() == formula.tobytes()
 
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 25.0])
+    @pytest.mark.parametrize("kind,d", [("gaussian", 1), ("gaussian", 3),
+                                        ("epanechnikov", 1)])
+    def test_shape_out_equals_allocating_form_bit_for_bit(self, kind, d,
+                                                          scale):
+        k = kernel_spec(kind, d)
+        sq = np.concatenate([self.SQ, np.linspace(0.0, 3.0, 301)])
+        sq = sq.reshape(12, 26)
+        with np.errstate(over="ignore"):  # 1e308 * 25 is inf, g = 0 there
+            alloc = shape_sq(k, sq, scale)
+            out = np.full_like(sq, np.nan)
+            assert shape_sq(k, sq, scale, out=out) is out
+            inplace = sq.copy()
+            assert shape_sq(k, inplace, scale, out=inplace) is inplace
+            u = sq * scale
+        assert out.tobytes() == alloc.tobytes()
+        assert inplace.tobytes() == alloc.tobytes()
+        # the textbook shape g(scale * ||t||^2), with K = K(0) * g; halving
+        # is exact here, so the order of the two factors keeps the bits
+        if k.kind is KernelKind.GAUSSIAN:
+            formula = np.exp(-0.5 * u)
+        else:
+            formula = np.where(u <= 1.0, 1.0 - u, 0.0)
+        assert alloc.tobytes() == formula.tobytes()
+        assert shape_sq(k, 0.0, scale) == 1.0
+        assert k.peak == eval_kernel(k, np.zeros(d))
+
+    def test_epanechnikov_shape_is_zero_past_the_support_and_at_nan(self):
+        k = kernel_spec("epanechnikov", 1)
+        sq = np.array([1.0, 1.0 + 2 ** -52, 2.0, np.inf, np.nan])
+        assert shape_sq(k, sq).tolist() == [0.0] * 5
+        # scaled: 0.5 * 2 is the edge of the support, just above it is out
+        scaled = shape_sq(k, np.array([2.0, 2.0 + 2 ** -51, np.nan]), 0.5)
+        assert scaled.tolist() == [0.0, 0.0, 0.0]
+        assert shape_sq(k, np.array([1.5]), 0.5).tolist() == [0.25]
+        assert eval_sq(k, np.array([np.nan, 1.0 + 2 ** -52])).tolist() == [
+            0.0, 0.0]
+
 
 class TestL2Norm:
     def test_gaussian_1d_against_quadrature(self):
         oracle = math.sqrt(integrate.quad(
             lambda t: gaussian_pdf(np.array([t]), 1) ** 2, -10, 10)[0])
-        assert abs(l2_norm_of("gaussian", 1) - oracle) < 1e-6
-        assert l2_norm_of("gaussian", 1) == pytest.approx(0.531126, abs=1e-6)
+        l2_norm = kernel_spec("gaussian", 1).l2_norm
+        assert abs(l2_norm - oracle) < 1e-6
+        assert l2_norm == pytest.approx(0.531126, abs=1e-6)
 
     def test_gaussian_2d_against_quadrature(self):
         oracle = math.sqrt(integrate.dblquad(
             lambda y, x: gaussian_pdf(np.array([x, y]), 2) ** 2,
             -8, 8, -8, 8)[0])
-        assert abs(l2_norm_of("gaussian", 2) - oracle) < 1e-6
-        assert l2_norm_of("gaussian", 2) == pytest.approx(0.282095, abs=1e-6)
+        l2_norm = kernel_spec("gaussian", 2).l2_norm
+        assert abs(l2_norm - oracle) < 1e-6
+        assert l2_norm == pytest.approx(0.282095, abs=1e-6)
 
     def test_epanechnikov_closed_form(self):
         # integral of (0.75 (1 - t^2))^2 over [-1, 1] is exactly 3/5
         oracle = integrate.quad(lambda t: epanechnikov_pdf(t) ** 2, -1, 1)[0]
         assert oracle == pytest.approx(0.6, abs=1e-12)
-        assert l2_norm_of("epanechnikov", 1) == pytest.approx(math.sqrt(0.6),
-                                                              abs=1e-15)
+        assert kernel_spec("epanechnikov", 1).l2_norm == pytest.approx(
+            math.sqrt(0.6), abs=1e-15)
 
     def test_unsupported_pair(self):
         with pytest.raises(ValueError):
-            l2_norm_of("epanechnikov", 2)
+            kernel_spec("epanechnikov", 2)
         with pytest.raises(ValueError):
-            l2_norm_of("triangle", 1)
+            kernel_spec("triangle", 1)
 
 
 class TestLowerBound:
     def test_gaussian_constants(self):
-        a, b = lower_bound_constants("gaussian", 1)
+        spec = kernel_spec("gaussian", 1)
+        a, b = spec.a, spec.b
         assert b == 1.0
         assert a == pytest.approx(gaussian_pdf(np.array([1.0]), 1), rel=1e-15)
         assert a == pytest.approx(0.2419707, abs=1e-7)
-        a2, b2 = lower_bound_constants("gaussian", 2)
+        spec2 = kernel_spec("gaussian", 2)
+        a2, b2 = spec2.a, spec2.b
         assert b2 == 1.0
         assert a2 == pytest.approx((2 * math.pi) ** -1 * math.exp(-0.5),
                                    rel=1e-15)
         assert a2 == pytest.approx(0.0965324, abs=1e-7)
 
     def test_epanechnikov_constants(self):
-        a, b = lower_bound_constants("epanechnikov", 1)
+        spec = kernel_spec("epanechnikov", 1)
+        a, b = spec.a, spec.b
         assert (a, b) == (0.5625, 0.5)
         assert a == epanechnikov_pdf(0.5)
 
