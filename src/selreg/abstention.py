@@ -17,6 +17,7 @@ decide_from_evaluation are its one-point views.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,8 @@ class Reason(enum.Enum):
 
 @dataclass(frozen=True)
 class AbstentionConfig:
-    """Abstention cost lam > 0 and test significance level beta in (0, 0.5].
+    """Finite abstention cost lam > 0 and test significance level beta in
+    (0, 0.5].
 
     beta is capped at 0.5: beyond it the test would be anti-conservative
     relative to the plugin rule. The critical value z = z_{1-beta} is
@@ -50,10 +52,11 @@ class AbstentionConfig:
     z: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise ValueError("abstention cost must be positive")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"lambda must be a positive finite real, "
+                             f"got {self.lam!r}")
         if not (0.0 < self.beta <= 0.5):
-            raise ValueError("significance level must lie in (0, 0.5]")
+            raise ValueError(f"beta must lie in (0, 0.5], got {self.beta!r}")
         object.__setattr__(self, "z", normal_quantile(1.0 - self.beta))
 
 

@@ -12,20 +12,33 @@ import json
 import math
 import sys
 
-from .abstention import Verdict, decide_from_evaluation
+from .abstention import AbstentionConfig, Verdict, decide_from_evaluation
 from .data import load_csv
 from .estimators import (FitState, default_bandwidth_grid, evaluate_point,
                          select_bandwidth_loocv)
 from .experiments import ConfigError, run_scenario
 from .kernels import kernel_spec
-from .normal import normal_quantile
 
 
 def _jsonable(value: float):
     return value if math.isfinite(value) else None
 
 
+def _lambda_and_z(args) -> tuple[float, float]:
+    """The checked --lambda and critical value, before any data is read."""
+    if args.z is not None and not 0.0 <= args.z < math.inf:
+        raise ValueError(f"--z must be a finite nonnegative real, got {args.z!r}")
+    try:
+        # with --z the level is unused; 0.5 lets lambda alone be checked
+        cfg = AbstentionConfig(lam=args.lam,
+                               beta=0.5 if args.beta is None else args.beta)
+    except ValueError as exc:  # its message starts with the flag's name
+        raise ValueError(f"--{exc}") from None
+    return cfg.lam, cfg.z if args.z is None else args.z
+
+
 def _cmd_decide(args) -> int:
+    lam, z = _lambda_and_z(args)
     data = load_csv(args.train, has_header=args.has_header,
                     target_column=args.target_col)
     kernel = kernel_spec(args.kernel, data.d)
@@ -38,19 +51,7 @@ def _cmd_decide(args) -> int:
     else:
         h = select_bandwidth_loocv(data, kernel, default_bandwidth_grid(data))
     fit = FitState(train=data, kernel=kernel, h=h)
-
-    if args.z is not None:
-        if args.z < 0.0:
-            raise ValueError("--z must be nonnegative")
-        z = args.z
-    else:
-        if not (0.0 < args.beta <= 0.5):
-            raise ValueError("--beta must lie in (0, 0.5]")
-        z = normal_quantile(1.0 - args.beta)
-    if not (args.lam > 0.0):
-        raise ValueError("--lambda must be positive")
-
-    decision = decide_from_evaluation(evaluate_point(fit, x), fit, args.lam, z)
+    decision = decide_from_evaluation(evaluate_point(fit, x), fit, lam, z)
     print(json.dumps({
         "verdict": decision.verdict.value,
         "reason": decision.reason.value,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -38,8 +39,7 @@ SCENARIOS = ("acceptance_curve", "excess_risk_vs_n", "excess_risk_vs_beta",
 DIAGNOSTIC_POINTS = (-1.6, -0.5, 0.3, 0.8, 1.6)
 
 _MEAN_FNS = {"quadratic": mean_quadratic}
-_SD_FNS = {"sigmoid": sd_sigmoid, "heaviside": sd_heaviside,
-           "zero": lambda x: np.zeros_like(np.asarray(x, dtype=float))}
+_SD_FNS = {"sigmoid": sd_sigmoid, "heaviside": sd_heaviside, "zero": np.zeros_like}
 
 
 class ConfigError(ValueError):
@@ -118,7 +118,6 @@ class ExperimentConfig:
     x_grid: Optional[tuple] = None
     h_policy: HPolicy = field(default_factory=lambda: HPolicy(kind="loocv"))
     synthetic: Optional[SyntheticSpec] = None
-    truth: Optional[GroundTruth] = None
     data: Optional[DataSource] = None
 
 
@@ -154,8 +153,9 @@ def _monte_carlo(cfg: ExperimentConfig, betas):
     sampler = synthetic_sampler(cfg.synthetic)
     rule = cfg.h_policy.fit_rule(kernel_spec(cfg.kernel, cfg.synthetic.d))
     methods = [AbstentionConfig(lam=cfg.lam, beta=beta) for beta in betas]
+    truth = GroundTruth(mean_fn=cfg.synthetic.mean_fn, sd_fn=cfg.synthetic.sd_fn)
     return [(n, monte_carlo_expected_excess(
-                cfg.truth, sampler, n, methods, rule, cfg.x_grid,
+                truth, sampler, n, methods, rule, cfg.x_grid,
                 cfg.replicates, cfg.seed))
             for n in cfg.n_list]
 
@@ -201,14 +201,10 @@ def run_pointwise_convergence(cfg: ExperimentConfig) -> Table:
 
 
 def _coverage_methods(cfg: ExperimentConfig) -> list[tuple[str, float]]:
-    methods = []
-    if cfg.beta_list:
-        for beta in cfg.beta_list:
-            label = "plugin" if beta == 0.5 else f"beta={beta:g}"
-            methods.append((label, normal_quantile(1.0 - beta)))
-    if cfg.z_list:
-        methods.extend((f"z={z:g}", float(z)) for z in cfg.z_list)
-    return methods
+    """(label, z) of every beta_list entry, then of every z_list entry."""
+    by_beta = [("plugin" if beta == 0.5 else f"beta={beta:g}",
+                normal_quantile(1.0 - beta)) for beta in cfg.beta_list or ()]
+    return by_beta + [(f"z={z:g}", z) for z in cfg.z_list or ()]
 
 
 def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
@@ -264,7 +260,7 @@ def run_scenario(config: dict, out_dir) -> dict:
     write_csv(table, csv_path)
 
     hashes = {}
-    if cfg.data is not None:
+    if cfg.scenario == "coverage_mse_sweep":
         hashes = {p: _git_blob_sha1(p) for p in cfg.data.paths()}
     manifest = {
         "config": config,
@@ -284,94 +280,156 @@ def run_scenario(config: dict, out_dir) -> dict:
 
 # --- config parsing -------------------------------------------------------
 
-_KNOWN_KEYS = {"scenario", "seed", "kernel", "lambda", "beta", "beta_list",
-               "z_list", "lambdas", "n", "replicates", "x_grid", "h",
-               "synthetic", "data"}
-
+_SYNTHETIC = tuple(s for s in SCENARIOS if s != "coverage_mse_sweep")
 
 # a linspace grid larger than this is refused before it is allocated
 _MAX_GRID_POINTS = 1_000_000
 
 
-def _convert(raw, field: str, problems: list, kind=float):
-    """kind(raw), or None after recording a problem that names the field.
+def _convert(raw, kind: str):
+    """raw as a value of its kind, or None: an integer or a real is a JSON
+    number and never a bool, a real is finite, a path a nonempty string."""
+    number = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
+    if kind == "integer":
+        return int(raw) if number and isinstance(raw, numbers.Integral) else None
+    if kind == "real":
+        return float(raw) if number and abs(raw) <= sys.float_info.max else None
+    if kind == "bool":
+        return raw if isinstance(raw, bool) else None
+    return raw if isinstance(raw, str) and raw else None
 
-    A bool is refused (JSON true is not the number 1), and so is a real
-    that is infinite or NaN.
-    """
-    try:
-        value = None if isinstance(raw, bool) else kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or (kind is float and not math.isfinite(value)):
-        what = "an integer" if kind is int else "a finite real"
-        problems.append(f"{field} must be {what}, got {raw!r}")
+
+_KINDS = {"integer": "an integer", "real": "a finite real",
+          "bool": "true or false", "path": "a nonempty string"}
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One config value. shape is "one", "list" (nonempty) or "either" (one
+    value or a nonempty list, read as a tuple); rule is (predicate, demand)
+    on each value; the scenarios of required_by need the field."""
+
+    key: str
+    kind: str
+    shape: str = "one"
+    rule: Optional[tuple] = None
+    required_by: tuple = ()
+    attr: Optional[str] = None  # the key when None
+
+
+_POSITIVE = (lambda v: v > 0.0, "be a positive finite real")
+_NONNEGATIVE = (lambda v: v >= 0.0, "be nonnegative")
+_LEVEL = (lambda v: 0.0 < v <= 0.5, "lie in (0, 0.5]")
+_COUNT = (lambda v: v >= 1, "be a positive integer")
+_INDEX = (lambda v: v >= 0, "be a nonnegative integer")
+
+_TOP_FIELDS = (
+    _Field("seed", "integer", required_by=SCENARIOS),
+    _Field("lambda", "real", rule=_POSITIVE, required_by=_SYNTHETIC, attr="lam"),
+    _Field("beta", "real", rule=_LEVEL,
+           required_by=("acceptance_curve", "excess_risk_vs_n",
+                        "pointwise_convergence")),
+    _Field("beta_list", "real", "list", _LEVEL, ("excess_risk_vs_beta",)),
+    _Field("z_list", "real", "list", _NONNEGATIVE),
+    _Field("lambdas", "real", "list", _NONNEGATIVE, ("coverage_mse_sweep",)),
+    _Field("n", "integer", "either", _COUNT, _SYNTHETIC, attr="n_list"),
+    _Field("replicates", "integer", rule=_COUNT, required_by=_SYNTHETIC),
+)
+
+_DATA_FIELDS = (
+    _Field("train_csv", "path"),
+    _Field("test_csv", "path"),
+    _Field("csv", "path"),
+    _Field("target_column", "integer", rule=_INDEX, required_by=SCENARIOS),
+    _Field("has_header", "bool"),
+    _Field("standardize", "bool"),
+    _Field("pivot_feature", "integer", rule=_INDEX),
+    _Field("train_quantile", "real", rule=(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    _Field("swap_fraction", "real", rule=(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")),
+)
+
+# h form -> its fields; {"fixed": h} holds its one value directly
+_H_FIELDS = {
+    "fixed": (_Field("fixed", "real", rule=_POSITIVE, required_by=SCENARIOS,
+                     attr="h"),),
+    "power": (_Field("c", "real", rule=_POSITIVE), _Field("exponent", "real")),
+    "loocv": (_Field("grid", "real", "list", _POSITIVE),),
+}
+
+
+def _value(raw, name: str, kind: str, problems: list, rule=None):
+    """raw converted by its kind and checked by rule, or None after a problem."""
+    value = _convert(raw, kind)
+    if value is None:
+        problems.append(f"{name} must be {_KINDS[kind]}, got {raw!r}")
+    elif rule is not None and not rule[0](value):
+        problems.append(f"{name} must {rule[1]}, got {value!r}")
         return None
     return value
 
 
-def _reals(raw, field: str, problems: list) -> Optional[tuple]:
-    """A nonempty list of reals as a tuple, or None after recording problems."""
+def _values(raw, name: str, kind: str, problems: list,
+            rule=None) -> Optional[tuple]:
+    """_value of every entry of a nonempty list, or None after problems."""
     if not isinstance(raw, (list, tuple)) or not raw:
-        problems.append(f"{field} must be a nonempty list of reals")
+        problems.append(f"{name} must be a nonempty list, got {raw!r}")
         return None
-    values = tuple(_convert(v, f"{field}[{i}]", problems)
+    values = tuple(_value(v, f"{name}[{i}]", kind, problems, rule)
                    for i, v in enumerate(raw))
     return None if None in values else values
 
 
+def _parse_block(raw: dict, table, prefix: str, scenario: str, problems: list,
+                 other_keys=()) -> dict:
+    """{attribute: value} of the fields of table given in raw (None counts as
+    not given; a value with a problem holds None), each checked whether or not
+    the scenario reads it. Keys in neither table nor other_keys are unknown."""
+    unknown = set(raw) - {f.key for f in table} - set(other_keys)
+    if unknown:
+        problems.append(f"unknown {prefix[:-1] or 'config'} keys: {sorted(unknown)}")
+    fields = {}
+    for f in table:
+        name, given = prefix + f.key, raw.get(f.key)
+        if given is None:
+            if scenario in f.required_by:
+                problems.append(f"{name} is required for scenario {scenario}")
+        elif f.shape == "list" or (f.shape == "either"
+                                   and isinstance(given, (list, tuple))):
+            fields[f.attr or f.key] = _values(given, name, f.kind, problems, f.rule)
+        else:
+            value = _value(given, name, f.kind, problems, f.rule)
+            fields[f.attr or f.key] = (value,) if f.shape == "either" else value
+    return fields
+
+
 def _parse_x_grid(raw, problems) -> Optional[tuple]:
-    if raw is None:
+    """A list of reals or {"linspace": [lo, hi, num]}, as a tuple of points."""
+    if not (isinstance(raw, dict) and set(raw) == {"linspace"}):
+        return _values(raw, "x_grid", "real", problems)
+    spec = _values(raw["linspace"], "x_grid.linspace", "real", problems)
+    if spec is not None and (len(spec) != 3 or not spec[2].is_integer()
+                             or not 1 <= spec[2] <= _MAX_GRID_POINTS):
+        problems.append("x_grid.linspace must be [lo, hi, num] with a whole "
+                        f"num in [1, {_MAX_GRID_POINTS}]")
         return None
-    if isinstance(raw, dict) and set(raw) == {"linspace"}:
-        spec = _reals(raw["linspace"], "x_grid.linspace", problems)
-        if spec is None:
-            return None
-        if (len(spec) != 3 or not spec[2].is_integer()
-                or not 1 <= spec[2] <= _MAX_GRID_POINTS):
-            problems.append("x_grid.linspace must be [lo, hi, num] with a whole "
-                            f"num in [1, {_MAX_GRID_POINTS}]")
-            return None
-        lo, hi, num = spec
-        return tuple(np.linspace(lo, hi, int(num)))
-    if isinstance(raw, (list, tuple)) and raw:
-        return _reals(raw, "x_grid", problems)
-    problems.append("x_grid must be a nonempty list or {\"linspace\": [lo, hi, num]}")
-    return None
+    return None if spec is None else tuple(np.linspace(spec[0], spec[1], int(spec[2])))
 
 
-def _parse_h(raw, problems) -> HPolicy:
+def _parse_h(raw, scenario: str, problems) -> HPolicy:
     if raw is None or raw == "loocv":
         return HPolicy(kind="loocv")
-    if isinstance(raw, dict) and set(raw) == {"loocv"} \
-            and isinstance(raw["loocv"], dict):
-        grid = raw["loocv"].get("grid")
-        if grid is not None:
-            grid = _reals(grid, "h.loocv.grid", problems)
-            for i, h in enumerate(grid or ()):  # finite by _convert
-                if not h > 0.0:
-                    problems.append(f"h.loocv.grid[{i}] must be a positive "
-                                    f"finite real, got {h!r}")
-        return HPolicy(kind="loocv", grid=grid)
-    if isinstance(raw, dict) and set(raw) == {"fixed"}:
-        h = _convert(raw["fixed"], "h.fixed", problems)
-        if h is not None and not h > 0.0:
-            problems.append("fixed bandwidth must be positive")
-        return HPolicy(kind="fixed", h=h)
-    if isinstance(raw, dict) and set(raw) == {"power"} \
-            and isinstance(raw["power"], dict):
-        c = _convert(raw["power"].get("c", HPolicy.c), "h.power.c", problems)
-        exponent = _convert(raw["power"].get("exponent", HPolicy.exponent),
-                            "h.power.exponent", problems)
-        if c is not None and not c > 0.0:
-            problems.append("power-rule coefficient c must be positive")
-        return HPolicy(kind="power", c=c, exponent=exponent)
+    if isinstance(raw, dict) and len(raw) == 1:
+        ((kind, block),) = raw.items()
+        block, prefix = (raw, "h.") if kind == "fixed" else (block, f"h.{kind}.")
+        if kind in _H_FIELDS and isinstance(block, dict):
+            return HPolicy(kind=kind, **_parse_block(
+                block, _H_FIELDS[kind], prefix, scenario, problems))
     problems.append("h must be \"loocv\", {\"fixed\": h}, {\"power\": {...}} "
                     "or {\"loocv\": {\"grid\": [...]}}")
     return HPolicy(kind="loocv")
 
 
-def _parse_fn(raw, registry, what, problems) -> Callable:
+def _parse_fn(raw, registry, what, problems) -> Optional[Callable]:
     if isinstance(raw, str) and raw in registry:
         return registry[raw]
     if isinstance(raw, dict) and set(raw) == {"table"}:
@@ -379,208 +437,108 @@ def _parse_fn(raw, registry, what, problems) -> Callable:
             return table_fn(raw["table"]["x"], raw["table"]["y"])
         except (KeyError, ValueError, TypeError) as exc:
             problems.append(f"invalid {what} table: {exc}")
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    names = ", ".join(sorted(registry))
-    problems.append(f"{what} must be one of [{names}] or a {{\"table\": ...}} spec")
-    return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    else:
+        problems.append(f"{what} must be one of {sorted(registry)} or a "
+                        f"{{\"table\": ...}} spec, got {raw!r}")
+    return None
 
 
-def _parse_synthetic(raw, problems) -> tuple[Optional[SyntheticSpec],
-                                             Optional[GroundTruth]]:
+def _parse_synthetic(raw, problems) -> Optional[SyntheticSpec]:
     if not isinstance(raw, dict):
-        problems.append("synthetic block is required for this scenario")
-        return None, None
+        problems.append("synthetic block is required for this scenario"
+                        if raw is None else
+                        f"synthetic must be a JSON object, got {raw!r}")
+        return None
     unknown = set(raw) - {"covariates", "mean", "sd"}
     if unknown:
         problems.append(f"unknown synthetic keys: {sorted(unknown)}")
-    dists = []
-    covariates = raw.get("covariates")
-    if not isinstance(covariates, (list, tuple)):
-        covariates = []
-    for i, spec in enumerate(covariates):
-        if isinstance(spec, dict) and set(spec) in ({"uniform"}, {"normal"}):
-            ((kind, params),) = spec.items()
-            field = f"synthetic.covariates[{i}].{kind}"
-            values = _reals(params, field, problems)
-            if values is not None and len(values) != 2:
-                problems.append(f"{field} must hold two reals")
-            elif values is not None:
-                try:
-                    dists.append((Uniform if kind == "uniform" else Normal)(*values))
-                except ValueError as exc:
-                    problems.append(f"{field}: {exc}")
-        else:
-            problems.append(
-                f"covariate {i} must be {{\"uniform\": [lo, hi]}} or "
-                f"{{\"normal\": [mu, sd]}}")
-    if not dists:
-        problems.append("synthetic.covariates must list at least one distribution")
-        return None, None
     mean_fn = _parse_fn(raw.get("mean"), _MEAN_FNS, "synthetic.mean", problems)
     sd_fn = _parse_fn(raw.get("sd"), _SD_FNS, "synthetic.sd", problems)
-    spec = SyntheticSpec(covariate_dists=tuple(dists), mean_fn=mean_fn,
-                         sd_fn=sd_fn, n=1, seed=0)
-    return spec, GroundTruth(mean_fn=mean_fn, sd_fn=sd_fn)
+    covariates = raw.get("covariates")
+    single = (covariates[0] if isinstance(covariates, (list, tuple))
+              and len(covariates) == 1 else None)
+    if not (isinstance(single, dict) and set(single) in ({"uniform"}, {"normal"})):
+        problems.append("synthetic.covariates must hold one covariate, "
+                        "[{\"uniform\": [lo, hi]}] or [{\"normal\": [mu, sd]}], "
+                        f"got {covariates!r}")
+        return None
+    ((kind, params),) = single.items()
+    name = f"synthetic.covariates[0].{kind}"
+    values = _values(params, name, "real", problems)
+    if values is not None and len(values) != 2:
+        problems.append(f"{name} must hold two reals")
+    elif values is not None:
+        try:
+            dist = (Uniform if kind == "uniform" else Normal)(*values)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+            return None
+        return SyntheticSpec(covariate_dists=(dist,), mean_fn=mean_fn,
+                             sd_fn=sd_fn, n=1, seed=0)
+    return None
 
 
-def _parse_data(raw, problems) -> Optional[DataSource]:
+def _parse_data(raw, scenario: str, problems) -> Optional[DataSource]:
     if not isinstance(raw, dict):
-        problems.append("data block is required for coverage_mse_sweep")
+        problems.append("data block is required for coverage_mse_sweep"
+                        if raw is None else
+                        f"data must be a JSON object, got {raw!r}")
         return None
-    known = {"train_csv", "test_csv", "csv", "target_column", "has_header",
-             "standardize", "pivot_feature", "train_quantile", "swap_fraction"}
-    unknown = set(raw) - known
-    if unknown:
-        problems.append(f"unknown data keys: {sorted(unknown)}")
-    if "target_column" not in raw:
-        problems.append("data.target_column is required")
-    pre_split = raw.get("train_csv") is not None or raw.get("test_csv") is not None
-    single = raw.get("csv") is not None
-    if pre_split == single:
+    fields = _parse_block(raw, _DATA_FIELDS, "data.", scenario, problems)
+    sources = {k for k in ("train_csv", "test_csv", "csv") if raw.get(k) is not None}
+    if sources not in ({"train_csv", "test_csv"}, {"csv"}):
         problems.append("data must give either train_csv+test_csv or csv+pivot_feature")
-    if pre_split and (raw.get("train_csv") is None or raw.get("test_csv") is None):
-        problems.append("pre-split data needs both train_csv and test_csv")
-    if single and raw.get("pivot_feature") is None:
+    if "csv" in sources and raw.get("pivot_feature") is None:
         problems.append("data.pivot_feature is required with a single csv")
-    q = _convert(raw.get("train_quantile", DataSource.train_quantile),
-                 "data.train_quantile", problems)
-    s = _convert(raw.get("swap_fraction", DataSource.swap_fraction),
-                 "data.swap_fraction", problems)
-    if q is not None and not (0.0 < q < 1.0):
-        problems.append("data.train_quantile must lie in (0, 1)")
-    if s is not None and not (0.0 <= s < 1.0):
-        problems.append("data.swap_fraction must lie in [0, 1)")
-    target = (_convert(raw["target_column"], "data.target_column", problems,
-                       int) if "target_column" in raw else None)
-    pivot = (None if raw.get("pivot_feature") is None else
-             _convert(raw["pivot_feature"], "data.pivot_feature", problems, int))
-    if problems:
-        return None
-    return DataSource(target_column=target,
-                      has_header=bool(raw.get("has_header", True)),
-                      standardize=bool(raw.get("standardize", True)),
-                      train_csv=raw.get("train_csv"),
-                      test_csv=raw.get("test_csv"),
-                      csv=raw.get("csv"),
-                      pivot_feature=pivot, train_quantile=q, swap_fraction=s)
+    return None if problems else DataSource(**fields)
 
 
 def config_from_dict(config: dict) -> ExperimentConfig:
     """Strictly validate a JSON-style config dict.
 
     Raises ConfigError listing every violated constraint; scenario-critical
-    fields (lambda, beta, seed) have no defaults.
+    fields (lambda, beta, seed) have no defaults. A field that is given is
+    checked whether or not its scenario reads it.
     """
-    problems: list[str] = []
     if not isinstance(config, dict):
         raise ConfigError(["config must be a JSON object"])
-
-    unknown = set(config) - _KNOWN_KEYS
-    if unknown:
-        problems.append(f"unknown config keys: {sorted(unknown)}")
-
     scenario = config.get("scenario")
     if scenario not in SCENARIOS:
-        problems.append(f"scenario must be one of {list(SCENARIOS)}")
-        raise ConfigError(problems)
-    synthetic_scenario = scenario != "coverage_mse_sweep"
-
-    seed = config.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append("seed is required and must be an integer")
-        seed = 0
+        raise ConfigError([f"scenario must be one of {list(SCENARIOS)}"])
+    synthetic_scenario = scenario in _SYNTHETIC
+    problems: list[str] = []
+    top = _parse_block(config, _TOP_FIELDS, "", scenario, problems,
+                       ("scenario", "kernel", "x_grid", "h", "synthetic", "data"))
 
     kernel = config.get("kernel", "gaussian")
     if kernel not in ("gaussian", "epanechnikov"):
         problems.append("kernel must be \"gaussian\" or \"epanechnikov\"")
+    if scenario == "excess_risk_vs_beta" and len(top.get("n_list") or ()) > 1:
+        problems.append("excess_risk_vs_beta takes a single n")
+    if (scenario == "coverage_mse_sweep" and config.get("beta_list") is None
+            and config.get("z_list") is None):
+        problems.append("coverage_mse_sweep needs beta_list or z_list")
 
-    lam = config.get("lambda")
-    if lam is None:
-        if synthetic_scenario:
-            problems.append(f"lambda is required for scenario {scenario}")
-    else:
-        lam = _convert(lam, "lambda", problems)
-        if lam is not None and not (0.0 < lam < math.inf):
-            problems.append("lambda must be a positive real")
+    x_grid = config.get("x_grid")
+    if x_grid is not None:
+        x_grid = _parse_x_grid(x_grid, problems)
+    elif synthetic_scenario:
+        x_grid = (DIAGNOSTIC_POINTS if scenario == "pointwise_convergence"
+                  else tuple(np.linspace(-2.0, 2.0, 81)))
 
-    beta = config.get("beta")
-    needs_beta = scenario in ("acceptance_curve", "excess_risk_vs_n",
-                              "pointwise_convergence")
-    if beta is None:
-        if needs_beta:
-            problems.append(f"beta is required for scenario {scenario}")
-    else:
-        beta = _convert(beta, "beta", problems)
-        if beta is not None and not (0.0 < beta <= 0.5):
-            problems.append("beta must lie in (0, 0.5]")
-
-    beta_list, z_list, lambdas = (
-        None if config.get(key) is None else _reals(config[key], key, problems)
-        for key in ("beta_list", "z_list", "lambdas"))
-    if beta_list and any(not (0.0 < b <= 0.5) for b in beta_list):
-        problems.append("every beta_list entry must lie in (0, 0.5]")
-    if z_list and any(z < 0.0 for z in z_list):
-        problems.append("every z_list entry must be nonnegative")
-    if lambdas and any(v < 0.0 for v in lambdas):
-        problems.append("every lambdas entry must be nonnegative")
-
-    if scenario == "excess_risk_vs_beta" and not beta_list:
-        problems.append("beta_list is required for scenario excess_risk_vs_beta")
-    if scenario == "coverage_mse_sweep":
-        if not lambdas:
-            problems.append("lambdas is required for scenario coverage_mse_sweep")
-        if not beta_list and not z_list:
-            problems.append("coverage_mse_sweep needs beta_list or z_list")
-
-    n_raw = config.get("n")
-    n_list = None
-    if n_raw is None:
-        if synthetic_scenario:
-            problems.append(f"n is required for scenario {scenario}")
-    else:
-        values = n_raw if isinstance(n_raw, (list, tuple)) else [n_raw]
-        if not values or any(not isinstance(v, int) or isinstance(v, bool)
-                             or v < 1 for v in values):
-            problems.append("n must be a positive integer or list of them")
-        else:
-            n_list = tuple(values)
-            if scenario == "excess_risk_vs_beta" and len(n_list) != 1:
-                problems.append("excess_risk_vs_beta takes a single n")
-
-    replicates = config.get("replicates")
-    if synthetic_scenario:
-        if not isinstance(replicates, int) or isinstance(replicates, bool) \
-                or replicates < 1:
-            problems.append("replicates is required and must be a positive integer")
-            replicates = None
-
-    x_grid = _parse_x_grid(config.get("x_grid"), problems)
-    if x_grid is None and synthetic_scenario:
-        if scenario == "pointwise_convergence":
-            x_grid = DIAGNOSTIC_POINTS
-        else:
-            x_grid = tuple(np.linspace(-2.0, 2.0, 81))
-
-    h_policy = _parse_h(config.get("h"), problems)
+    h_policy = _parse_h(config.get("h"), scenario, problems)
     if scenario == "pointwise_convergence" and h_policy.kind != "power":
         problems.append("pointwise_convergence requires the power bandwidth "
                         "rule {\"power\": {\"c\": ..., \"exponent\": ...}}")
 
-    synthetic = truth = None
-    if synthetic_scenario:
-        synthetic, truth = _parse_synthetic(config.get("synthetic"), problems)
-        if synthetic is not None and kernel == "epanechnikov" and synthetic.d != 1:
-            problems.append("the Epanechnikov kernel is only provided for d=1")
-
-    data = None
-    if scenario == "coverage_mse_sweep":
-        data = _parse_data(config.get("data"), problems)
+    synthetic = data = None
+    if synthetic_scenario or config.get("synthetic") is not None:
+        synthetic = _parse_synthetic(config.get("synthetic"), problems)
+    if not synthetic_scenario or config.get("data") is not None:
+        data = _parse_data(config.get("data"), scenario, problems)
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(scenario=scenario, seed=seed, kernel=kernel,
-                            lam=lam, beta=beta, beta_list=beta_list,
-                            z_list=z_list, lambdas=lambdas, n_list=n_list,
-                            replicates=replicates, x_grid=x_grid,
-                            h_policy=h_policy, synthetic=synthetic,
-                            truth=truth, data=data)
+    return ExperimentConfig(scenario=scenario, kernel=kernel, x_grid=x_grid,
+                            h_policy=h_policy, synthetic=synthetic, data=data,
+                            **top)

@@ -69,17 +69,6 @@ def kernel_spec(kind, dimension: int) -> KernelSpec:
                       l2_norm=math.sqrt(0.6), peak=peak)
 
 
-def eval_kernel(kernel: KernelSpec, t) -> float:
-    """Evaluate K(t) for a point t of length ``kernel.dimension``."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = t.reshape(1)
-    if t.shape != (kernel.dimension,):
-        raise ValueError(
-            f"point has shape {t.shape}, expected ({kernel.dimension},)")
-    return float(eval_sq(kernel, np.dot(t, t)))
-
-
 def shape_sq(kernel: KernelSpec, sq_norms, scale=1.0, out=None):
     """The shape g(scale * ||t||^2) at points given by their squared norms.
 

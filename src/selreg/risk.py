@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .abstention import AbstentionConfig, Verdict, decide_batch
-from .data import derive_seed
+from .data import apply_fn, derive_seed
 from .estimators import Dataset, FitState, evaluate_batch
 
 
@@ -26,26 +26,17 @@ from .estimators import Dataset, FitState, evaluate_batch
 class GroundTruth:
     """True mean and noise-scale functions of a synthetic data model.
 
-    Both callables follow the data-module contract: 1-D problems receive the
-    bare coordinate, higher-dimensional ones the point vector (last axis).
+    Both callables follow the data.apply_fn contract: 1-D problems receive
+    the bare coordinate array, higher-dimensional ones the point matrix.
     """
 
     mean_fn: Callable
     sd_fn: Callable
 
-    def _at(self, fn: Callable, x) -> float:
-        x = np.asarray(x, dtype=float)
-        arg = float(x.reshape(-1)[0]) if x.size == 1 else x.reshape(-1)
-        return float(fn(arg))
-
-    def mean_at(self, x) -> float:
-        return self._at(self.mean_fn, x)
-
-    def sd_at(self, x) -> float:
-        return self._at(self.sd_fn, x)
-
-    def variance_at(self, x) -> float:
-        return self.sd_at(x) ** 2
+    def moments(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(f, sigma^2) at every row of an (m, d) matrix of points."""
+        return (apply_fn(self.mean_fn, points),
+                np.square(apply_fn(self.sd_fn, points)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,8 @@ def conditional_chow_risk(f_hat: float, truth: GroundTruth, x, lam: float,
     """
     if verdict is Verdict.REJECT:
         return lam
-    return truth.variance_at(x) + (f_hat - truth.mean_at(x)) ** 2
+    mean, sigma2 = truth.moments(np.reshape(x, (1, -1)))
+    return float(sigma2[0] + (f_hat - mean[0]) ** 2)
 
 
 def _excess(f_hat, accepted, sigma2, mean, lam: float):
@@ -96,8 +88,8 @@ def _excess(f_hat, accepted, sigma2, mean, lam: float):
 def pointwise_excess(f_hat: float, truth: GroundTruth, x, lam: float,
                      verdict: Verdict) -> float:
     """Excess over the oracle risk: estimation error plus decision mismatch."""
-    return float(_excess(f_hat, verdict is Verdict.ACCEPT, truth.variance_at(x),
-                         truth.mean_at(x), lam))
+    mean, sigma2 = truth.moments(np.reshape(x, (1, -1)))
+    return float(_excess(f_hat, verdict is Verdict.ACCEPT, sigma2, mean, lam)[0])
 
 
 def monte_carlo_expected_excess(
@@ -124,9 +116,8 @@ def monte_carlo_expected_excess(
     x_grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]
     if not x_grid:
         raise ValueError("x_grid must be nonempty")
-    sigma2 = np.array([truth.variance_at(x) for x in x_grid])
-    mean = np.array([truth.mean_at(x) for x in x_grid])
     points = np.stack(x_grid)
+    mean, sigma2 = truth.moments(points)
 
     excess = np.zeros((len(cfgs), len(x_grid), replicates))
     accepted = np.zeros(excess.shape, dtype=bool)

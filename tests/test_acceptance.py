@@ -54,7 +54,7 @@ def test_criterion_01_excess_risk_decomposition_identity():
         decision = decide(fit, [x], AbstentionConfig(lam=lam, beta=beta))
         chow = conditional_chow_risk(decision.eval.f_hat, SIGMOID_TRUTH, x,
                                      lam, decision.verdict)
-        oracle = oracle_risk(SIGMOID_TRUTH.variance_at(x), lam)
+        oracle = oracle_risk(SIGMOID_TRUTH.moments([[x]])[1][0], lam)
         excess = pointwise_excess(decision.eval.f_hat, SIGMOID_TRUTH, x, lam,
                                   decision.verdict)
         assert abs((chow - oracle) - excess) <= 1e-12
@@ -70,7 +70,7 @@ def test_criterion_02_oracle_rule_is_optimal():
                 sd_fn=lambda x, s=math.sqrt(grid_value): s + 0.0 * np.asarray(x))
             # compare through the model's own variance so sqrt round-trip
             # noise cannot blur the exact-equality claims
-            sigma2 = truth.variance_at(0.0)
+            sigma2 = truth.moments([[0.0]])[1][0]
             oracle = oracle_risk(sigma2, lam)
             for verdict in (Verdict.ACCEPT, Verdict.REJECT):
                 chow = conditional_chow_risk(truth_means, truth, 0.0, lam,

@@ -88,6 +88,33 @@ class TestDecide:
                              "--beta", "0.7", "--h", "0.3")
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--z", "nan"), ("--z", "inf"), ("--z", "-1"),
+        ("--lambda", "inf"), ("--lambda", "nan"), ("--beta", "nan"),
+    ])
+    def test_bad_level_flag_exits_one_naming_it(self, capsys, train_csv, flag,
+                                                value):
+        level = [] if flag in ("--z", "--beta") else ["--beta", "0.05"]
+        # a repeated --lambda takes the last value
+        code, report, err = run_decide(capsys, train_csv, "--x", "0.0",
+                                       "--h", "0.3", *level, flag, value)
+        assert code == 1
+        assert report is None
+        assert flag in err
+
+    def test_bad_beta_fails_before_any_work(self, capsys, train_csv,
+                                            monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the flags were checked")
+
+        monkeypatch.setattr("selreg.cli.load_csv", must_not_run)
+        monkeypatch.setattr("selreg.cli.select_bandwidth_loocv", must_not_run)
+        code, report, err = run_decide(capsys, train_csv, "--x", "0.0",
+                                       "--beta", "0.7", "--h-loocv")
+        assert code == 1
+        assert report is None
+        assert "--beta" in err
+
     def test_dimension_mismatch_exits_one(self, capsys, train_csv):
         code, _, _ = run_decide(capsys, train_csv, "--x", "0.0,1.0",
                              "--beta", "0.05", "--h", "0.3")

@@ -24,6 +24,20 @@ def acceptance_config(**kw):
     return cfg
 
 
+def coverage_config(**kw):
+    cfg = {"scenario": "coverage_mse_sweep", "seed": 13, "lambdas": [1.0],
+           "beta_list": [0.05], "h": {"fixed": 0.6},
+           "data": {"csv": "airfoil_like.csv", "target_column": 5,
+                    "has_header": False, "pivot_feature": 1,
+                    "standardize": True}}
+    cfg.update(kw)
+    return cfg
+
+
+DATA_KEYS = ("train_csv", "test_csv", "csv", "target_column", "has_header",
+             "standardize", "pivot_feature", "train_quantile", "swap_fraction")
+
+
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -149,6 +163,36 @@ class TestConfigValidation:
                       "data.train_quantile"):
             assert any(p.startswith(field) for p in err.value.problems)
 
+    @pytest.mark.parametrize("make,key,value,field", [
+        (coverage_config, "data.target_column", 5.9, "data.target_column"),
+        (coverage_config, "data.target_column", -1, "data.target_column"),
+        (coverage_config, "data.pivot_feature", "1", "data.pivot_feature"),
+        (coverage_config, "data.standardize", "false", "data.standardize"),
+        (coverage_config, "data.has_header", 1, "data.has_header"),
+        (coverage_config, "data.csv", 5, "data.csv"),
+        (coverage_config, "replicates", "x", "replicates"),
+        (acceptance_config, "synthetic",
+         {"covariates": [{"uniform": [-2, 2]}, {"normal": [0, 1]}],
+          "mean": "quadratic", "sd": "sigmoid"}, "synthetic.covariates"),
+        (acceptance_config, "lambda", "0.36", "lambda"),
+        (acceptance_config, "n", [], "n"),
+        (acceptance_config, "data",  # checked though the scenario is synthetic
+         {"csv": "a.csv", "target_column": 5.9, "pivot_feature": 1},
+         "data.target_column"),
+    ])
+    def test_value_the_parser_used_to_let_through_is_refused(
+            self, tmp_path, make, key, value, field):
+        cfg = make()
+        config_from_dict(cfg)  # the base config is valid
+        block, _, name = key.rpartition(".")
+        (cfg[block] if block else cfg)[name] = value
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(cfg)
+        assert any(p.startswith(field) for p in err.value.problems)
+        with pytest.raises(ConfigError):
+            run_scenario(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_any_json_value_parses_or_raises_config_error(self, data):
@@ -176,9 +220,16 @@ class TestConfigValidation:
                     *(st.fixed_dictionaries({kind: json_values})
                       for kind in ("uniform", "normal"))), max_size=2),
                 "mean": st.just("quadratic"), "sd": st.just("sigmoid")}),
+            "seed": json_values, "n": json_values, "replicates": json_values,
+            "kernel": json_values,
         }
-        key = data.draw(st.sampled_from(sorted(fields)))
-        config = acceptance_config(**{key: data.draw(fields[key])})
+        key = data.draw(st.sampled_from(
+            sorted(fields) + [f"data.{k}" for k in DATA_KEYS]))
+        if key.startswith("data."):
+            config = coverage_config()
+            config["data"][key[len("data."):]] = data.draw(json_values)
+        else:
+            config = acceptance_config(**{key: data.draw(fields[key])})
         try:
             config_from_dict(config)
         except ConfigError:

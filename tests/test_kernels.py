@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from selreg.kernels import (KernelKind, eval_kernel, eval_sq, kernel_spec,
-                            shape_sq)
+from selreg.kernels import KernelKind, eval_sq, kernel_spec, shape_sq
 
 
 def gaussian_pdf(t, d):
@@ -17,24 +16,25 @@ def epanechnikov_pdf(t):
     return 0.75 * (1 - t * t) if abs(t) <= 1 else 0.0
 
 
+def kernel_at(kernel, t):
+    """K(t) at one point t, through the package's squared-norm path."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return float(eval_sq(kernel, t @ t))
+
+
 class TestEval:
     def test_gaussian_origin(self):
         k = kernel_spec("gaussian", 1)
-        assert eval_kernel(k, [0.0]) == pytest.approx((2 * math.pi) ** -0.5,
-                                                      abs=1e-15)
+        assert kernel_at(k, [0.0]) == pytest.approx((2 * math.pi) ** -0.5,
+                                                    abs=1e-15)
 
     def test_gaussian_symmetry_bit_exact(self):
         k = kernel_spec("gaussian", 1)
-        assert eval_kernel(k, [1.3]) == eval_kernel(k, [-1.3])
+        assert kernel_at(k, [1.3]) == kernel_at(k, [-1.3])
 
     def test_epanechnikov_outside_support(self):
         k = kernel_spec("epanechnikov", 1)
-        assert eval_kernel(k, [1.5]) == 0.0
-
-    def test_dimension_mismatch(self):
-        k = kernel_spec("gaussian", 2)
-        with pytest.raises(ValueError):
-            eval_kernel(k, [1.0])
+        assert kernel_at(k, [1.5]) == 0.0
 
     def test_matches_reference_formula(self):
         for d in (1, 2, 3):
@@ -42,12 +42,12 @@ class TestEval:
             rng = np.random.default_rng(5)
             for _ in range(50):
                 t = rng.normal(size=d)
-                assert eval_kernel(k, t) == pytest.approx(gaussian_pdf(t, d),
-                                                          rel=1e-14)
+                assert kernel_at(k, t) == pytest.approx(gaussian_pdf(t, d),
+                                                        rel=1e-14)
         k = kernel_spec("epanechnikov", 1)
         for t in np.linspace(-1.4, 1.4, 29):
-            assert eval_kernel(k, [t]) == pytest.approx(epanechnikov_pdf(t),
-                                                        abs=1e-15)
+            assert kernel_at(k, [t]) == pytest.approx(epanechnikov_pdf(t),
+                                                      abs=1e-15)
 
 
 class TestEvalSqOut:
@@ -102,7 +102,7 @@ class TestEvalSqOut:
             formula = np.where(u <= 1.0, 1.0 - u, 0.0)
         assert alloc.tobytes() == formula.tobytes()
         assert shape_sq(k, 0.0, scale) == 1.0
-        assert k.peak == eval_kernel(k, np.zeros(d))
+        assert k.peak == kernel_at(k, np.zeros(d))
 
     def test_epanechnikov_shape_is_zero_past_the_support_and_at_nan(self):
         k = kernel_spec("epanechnikov", 1)
@@ -179,7 +179,7 @@ class TestInvariants:
             if float(t @ t) > k.b * k.b:
                 continue
             count += 1
-            assert eval_kernel(k, t) >= k.a
+            assert kernel_at(k, t) >= k.a
 
     @pytest.mark.parametrize("kind,d", [("gaussian", 1), ("gaussian", 3),
                                         ("epanechnikov", 1)])
@@ -188,7 +188,7 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         t = rng.normal(scale=1.5, size=(10_000, d))
         for row in t:
-            assert eval_kernel(k, row) == eval_kernel(k, -row)
+            assert kernel_at(k, row) == kernel_at(k, -row)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_gaussian_exponential_tail(self, d):
@@ -199,24 +199,24 @@ class TestInvariants:
         for _ in range(2000):
             t = rng.normal(scale=3.0, size=d)
             norm = math.sqrt(float(t @ t))
-            assert eval_kernel(k, t) <= r_k * math.exp(-0.5 * norm) * (1 + 1e-12)
+            assert kernel_at(k, t) <= r_k * math.exp(-0.5 * norm) * (1 + 1e-12)
 
     def test_unit_mass_1d(self):
         for kind in ("gaussian", "epanechnikov"):
             k = kernel_spec(kind, 1)
-            mass = integrate.quad(lambda t: eval_kernel(k, [t]), -10, 10)[0]
+            mass = integrate.quad(lambda t: kernel_at(k, [t]), -10, 10)[0]
             assert abs(mass - 1.0) < 1e-6
 
     def test_unit_mass_2d(self):
         k = kernel_spec("gaussian", 2)
-        mass = integrate.dblquad(lambda y, x: eval_kernel(k, [x, y]),
+        mass = integrate.dblquad(lambda y, x: kernel_at(k, [x, y]),
                                  -8, 8, -8, 8)[0]
         assert abs(mass - 1.0) < 1e-6
 
     def test_l2_matches_quadrature_of_eval(self):
         for kind in ("gaussian", "epanechnikov"):
             k = kernel_spec(kind, 1)
-            sq = integrate.quad(lambda t: eval_kernel(k, [t]) ** 2, -10, 10)[0]
+            sq = integrate.quad(lambda t: kernel_at(k, [t]) ** 2, -10, 10)[0]
             assert abs(k.l2_norm ** 2 - sq) < 1e-6
 
     def test_spec_kind_accepts_enum_and_string(self):

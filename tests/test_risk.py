@@ -174,7 +174,7 @@ class TestMonteCarlo(object):
                 chows.append(conditional_chow_risk(
                     decision.eval.f_hat, sigmoid_truth, x, cfg.lam,
                     decision.verdict))
-            oracle = oracle_risk(sigmoid_truth.variance_at(x), cfg.lam)
+            oracle = oracle_risk(sigmoid_truth.moments([[x]])[1][0], cfg.lam)
             assert np.mean(chows) - oracle == pytest.approx(
                 reports[i].expected_excess, abs=1e-12)
 
@@ -196,19 +196,34 @@ class TestMonteCarlo(object):
 
 
 class TestGroundTruth:
-    def test_scalar_and_vector_points(self):
+    def test_one_coordinate_rows(self):
         truth = GroundTruth(mean_fn=lambda x: np.asarray(x) ** 2 / 4,
                             sd_fn=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x))))
-        assert truth.mean_at(2.0) == 1.0
-        assert truth.mean_at(np.array([2.0])) == 1.0
-        assert truth.sd_at(0.0) == 0.5
-        assert truth.variance_at(0.0) == 0.25
+        mean, sigma2 = truth.moments([[2.0], [0.0]])
+        assert mean.tolist() == [1.0, 0.0]
+        assert sigma2[1] == 0.25
+        # constant models broadcast to every row
+        mean, sigma2 = const_truth(1.5, 0.5).moments(np.zeros((3, 1)))
+        assert mean.tolist() == [1.5] * 3 and sigma2.tolist() == [0.25] * 3
 
-    def test_multivariate_point(self):
+    def test_multivariate_rows(self):
         truth = GroundTruth(mean_fn=lambda x: np.sum(np.square(x), axis=-1),
                             sd_fn=lambda x: np.sum(np.abs(x), axis=-1))
-        assert truth.mean_at(np.array([1.0, 2.0])) == 5.0
-        assert truth.sd_at(np.array([1.0, -2.0])) == 3.0
+        mean, sigma2 = truth.moments(np.array([[1.0, 2.0], [1.0, -2.0]]))
+        assert mean.tolist() == [5.0, 5.0]
+        assert sigma2.tolist() == [9.0, 9.0]
+
+    def test_batch_rows_match_one_point_views(self, sigmoid_truth):
+        # the scalar helpers are views of moments: same bits row by row
+        grid = np.linspace(-2.0, 2.0, 81)
+        mean, sigma2 = sigmoid_truth.moments(grid[:, None])
+        for x, m, s2 in zip(grid, mean, sigma2):
+            f_hat = m + 0.25
+            assert conditional_chow_risk(f_hat, sigmoid_truth, x, 0.36,
+                                         Verdict.ACCEPT) == s2 + (f_hat - m) ** 2
+            assert pointwise_excess(f_hat, sigmoid_truth, x, 0.36,
+                                    Verdict.REJECT) == (abs(s2 - 0.36)
+                                                        if s2 < 0.36 else 0.0)
 
 
 def test_chow_accept_nan_never_reaches_excess(gauss1d):
