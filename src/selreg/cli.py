@@ -14,9 +14,8 @@ import sys
 
 from .abstention import AbstentionConfig, Verdict, decide_from_evaluation
 from .data import load_csv
-from .estimators import (FitState, default_bandwidth_grid, evaluate_point,
-                         select_bandwidth_loocv)
-from .experiments import ConfigError, run_scenario
+from .estimators import evaluate_point
+from .experiments import ConfigError, HPolicy, run_scenario
 from .kernels import kernel_spec
 
 
@@ -24,33 +23,36 @@ def _jsonable(value: float):
     return value if math.isfinite(value) else None
 
 
-def _lambda_and_z(args) -> tuple[float, float]:
-    """The checked --lambda and critical value, before any data is read."""
+def _checked_flags(args) -> tuple[float, float, list[float]]:
+    """(lambda, z, x) from the flags, all checked before any data is read."""
     if args.z is not None and not 0.0 <= args.z < math.inf:
         raise ValueError(f"--z must be a finite nonnegative real, got {args.z!r}")
+    if args.h is not None and not 0.0 < args.h < math.inf:
+        raise ValueError(f"--h must be a positive finite real, got {args.h!r}")
     try:
         # with --z the level is unused; 0.5 lets lambda alone be checked
         cfg = AbstentionConfig(lam=args.lam,
                                beta=0.5 if args.beta is None else args.beta)
     except ValueError as exc:  # its message starts with the flag's name
         raise ValueError(f"--{exc}") from None
-    return cfg.lam, cfg.z if args.z is None else args.z
+    try:
+        x = [float(v) for v in args.x.split(",")]
+        if not all(map(math.isfinite, x)):
+            raise ValueError
+    except ValueError:
+        raise ValueError("--x must be comma-separated finite reals, "
+                         f"got {args.x!r}") from None
+    return cfg.lam, cfg.z if args.z is None else args.z, x
 
 
 def _cmd_decide(args) -> int:
-    lam, z = _lambda_and_z(args)
+    lam, z, x = _checked_flags(args)
     data = load_csv(args.train, has_header=args.has_header,
                     target_column=args.target_col)
-    kernel = kernel_spec(args.kernel, data.d)
-    x = [float(v) for v in args.x.split(",")]
     if len(x) != data.d:
         raise ValueError(f"query point has {len(x)} coordinates, data has {data.d}")
-
-    if args.h is not None:
-        h = args.h
-    else:
-        h = select_bandwidth_loocv(data, kernel, default_bandwidth_grid(data))
-    fit = FitState(train=data, kernel=kernel, h=h)
+    policy = HPolicy("loocv") if args.h is None else HPolicy("fixed", h=args.h)
+    fit = policy.fit_rule(kernel_spec(args.kernel, data.d))(data)
     decision = decide_from_evaluation(evaluate_point(fit, x), fit, lam, z)
     print(json.dumps({
         "verdict": decision.verdict.value,
@@ -59,7 +61,7 @@ def _cmd_decide(args) -> int:
         "sigma2_hat": _jsonable(decision.eval.sigma2_hat),
         "p_hat": _jsonable(decision.eval.p_hat),
         "threshold": _jsonable(decision.threshold),
-        "h": h,
+        "h": fit.h,
     }))
     return 0 if decision.verdict is Verdict.ACCEPT else 3
 

@@ -16,6 +16,7 @@ two matrix products per block and grid h; its argmin breaks near-ties
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -80,8 +81,9 @@ class FitState:
     def __post_init__(self):
         if self.train.y is None:
             raise ValueError("fitting requires responses")
-        if not (self.h > 0.0):
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"bandwidth must be a positive finite real, "
+                             f"got {self.h!r}")
         if self.kernel.dimension != self.train.d:
             raise ValueError(
                 f"kernel dimension {self.kernel.dimension} does not match "
@@ -105,11 +107,11 @@ class PointEvaluation:
 
 
 def _query_point(fit: FitState, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (fit.train.d,):
         raise ValueError(f"query has shape {x.shape}, expected ({fit.train.d},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"query coordinates must be finite, got {x.tolist()}")
     return x
 
 
@@ -248,30 +250,13 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     return float(ordered[np.argmax(tied)])  # the first True: the smallest h
 
 
-def fixed_bandwidth(kernel: KernelSpec, h: float) -> Callable[[Dataset], FitState]:
-    """Fit rule using a constant bandwidth."""
-    def rule(data: Dataset) -> FitState:
-        return FitState(train=data, kernel=kernel, h=h)
-    return rule
-
-
-def power_bandwidth(kernel: KernelSpec, c: float,
-                    exponent: float) -> Callable[[Dataset], FitState]:
-    """Fit rule with the sample-size power law h = c * n ** exponent."""
-    def rule(data: Dataset) -> FitState:
-        return FitState(train=data, kernel=kernel, h=c * data.n ** exponent)
-    return rule
-
-
-def loocv_bandwidth(kernel: KernelSpec, grid=None,
-                    fallback_h: float = 1.0) -> Callable[[Dataset], FitState]:
-    """Fit rule selecting h by LOO-CV on ``grid`` (default grid if None).
-
-    Datasets too small for LOO-CV (n < 3) get ``fallback_h``.
-    """
+def loocv_bandwidth(kernel: KernelSpec, grid=None) -> Callable[[Dataset], FitState]:
+    """Fit rule selecting h by LOO-CV on ``grid`` (default grid if None)."""
     def rule(data: Dataset) -> FitState:
         if data.n < 3:
-            return FitState(train=data, kernel=kernel, h=fallback_h)
+            # too small for LOO-CV, and no h passes the density gate anyway:
+            # n K(0) < 4a for both kernels at every d, so any h will do
+            return FitState(train=data, kernel=kernel, h=1.0)
         g = default_bandwidth_grid(data) if grid is None else grid
         return FitState(train=data, kernel=kernel,
                         h=select_bandwidth_loocv(data, kernel, g))

@@ -27,8 +27,7 @@ from .data import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                    covariate_shift_split, load_csv, mean_quadratic,
                    sd_heaviside, sd_sigmoid, standardize, synthetic_sampler,
                    table_fn)
-from .estimators import (FitState, evaluate_batch, fixed_bandwidth,
-                         loocv_bandwidth, power_bandwidth)
+from .estimators import FitState, evaluate_batch, loocv_bandwidth
 from .kernels import KernelSpec, kernel_spec
 from .normal import normal_quantile
 from .risk import GroundTruth, monte_carlo_expected_excess
@@ -61,11 +60,13 @@ class HPolicy:
     grid: Optional[tuple] = None
 
     def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:
-        if self.kind == "fixed":
-            return fixed_bandwidth(kernel, self.h)
-        if self.kind == "power":
-            return power_bandwidth(kernel, self.c, self.exponent)
-        return loocv_bandwidth(kernel, grid=self.grid)
+        if self.kind == "loocv":
+            return loocv_bandwidth(kernel, grid=self.grid)
+
+        def rule(data: Dataset) -> FitState:
+            h = self.h if self.kind == "fixed" else self.c * data.n ** self.exponent
+            return FitState(train=data, kernel=kernel, h=h)
+        return rule
 
 
 @dataclass(frozen=True)
@@ -246,16 +247,15 @@ def _git_blob_sha1(path) -> str:
 def run_scenario(config: dict, out_dir) -> dict:
     """Validate the config, run its scenario, write the CSV and manifest.
 
-    Returns the manifest dict. The manifest is only written after the run
-    completed and the output CSV exists.
+    Returns the manifest dict. The output directory is only created once the
+    table is computed, and the manifest only written after the CSV exists.
     """
     cfg = config_from_dict(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
     table = _RUNNERS[cfg.scenario](cfg)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.scenario}.csv"
     write_csv(table, csv_path)
 
@@ -433,10 +433,14 @@ def _parse_fn(raw, registry, what, problems) -> Optional[Callable]:
     if isinstance(raw, str) and raw in registry:
         return registry[raw]
     if isinstance(raw, dict) and set(raw) == {"table"}:
-        try:
-            return table_fn(raw["table"]["x"], raw["table"]["y"])
-        except (KeyError, ValueError, TypeError) as exc:
-            problems.append(f"invalid {what} table: {exc}")
+        table = raw["table"] if isinstance(raw["table"], dict) else {}
+        xs, ys = (_values(table.get(k), f"{what}.table.{k}", "real", problems)
+                  for k in ("x", "y"))
+        if xs is not None and ys is not None:
+            try:
+                return table_fn(xs, ys)
+            except ValueError as exc:
+                problems.append(f"invalid {what} table: {exc}")
     else:
         problems.append(f"{what} must be one of {sorted(registry)} or a "
                         f"{{\"table\": ...}} spec, got {raw!r}")

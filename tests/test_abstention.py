@@ -122,6 +122,14 @@ class TestDecide:
         if d.eval.p_hat >= density_floor(fit) and d.threshold < 0:
             assert d.reason is Reason.VARIANCE_TEST_FAILED
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_raises(self, bad):
+        # unchecked, NaN would fail the variance test and inf the gate;
+        # neither is a verdict on the query
+        fit = make_fit([[0.0], [0.1], [0.2]], [1.0, 2.0, 3.0], h=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            decide(fit, [bad], AbstentionConfig(lam=0.36, beta=0.05))
+
     def test_determinism(self):
         rng = np.random.default_rng(1)
         fit = random_fit(rng)

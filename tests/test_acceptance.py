@@ -20,8 +20,8 @@ from selreg import (AbstentionConfig, Dataset, FitState, GroundTruth,
 from selreg import mean_quadratic, sd_sigmoid
 from selreg.abstention import density_floor
 from selreg.data import airfoil_like_spec
-from selreg.estimators import loocv_bandwidth, power_bandwidth
-from selreg.experiments import run_scenario
+from selreg.estimators import loocv_bandwidth
+from selreg.experiments import HPolicy, run_scenario
 from selreg.normal import normal_quantile
 from selreg.risk import oracle_abstains
 
@@ -198,7 +198,7 @@ def test_criterion_07_regime_reproduction():
     # at sigma^2 > lambda rejects every replicate), the regime's terminal
     # state -- excess identically zero at n=500 too -- is required instead
     # of the 25% drop, which needs a 3-sigma-significant anchor.
-    rule = power_bandwidth(GAUSS1, 0.5, -0.2)
+    rule = HPolicy("power", c=0.5, exponent=-0.2).fit_rule(GAUSS1)
     points = [np.array([x]) for x in (-0.5, 0.8, 1.6)]
     curves = {}
     methods = [AbstentionConfig(lam=0.36, beta=0.05),
@@ -237,7 +237,7 @@ def test_criterion_07_regime_reproduction():
 
 def test_criterion_08_testing_beats_plugin_in_noisy_region():
     sampler = synthetic_sampler(SIGMOID_SPEC)
-    rule = power_bandwidth(GAUSS1, 0.12, -0.2)
+    rule = HPolicy("power", c=0.12, exponent=-0.2).fit_rule(GAUSS1)
     point = [np.array([1.6])]
     (testing,), (plugin,) = monte_carlo_expected_excess(
         SIGMOID_TRUTH, sampler, 500,

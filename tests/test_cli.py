@@ -108,12 +108,42 @@ class TestDecide:
             raise AssertionError("ran before the flags were checked")
 
         monkeypatch.setattr("selreg.cli.load_csv", must_not_run)
-        monkeypatch.setattr("selreg.cli.select_bandwidth_loocv", must_not_run)
+        monkeypatch.setattr("selreg.estimators.select_bandwidth_loocv",
+                            must_not_run)
         code, report, err = run_decide(capsys, train_csv, "--x", "0.0",
                                        "--beta", "0.7", "--h-loocv")
         assert code == 1
         assert report is None
         assert "--beta" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--x", "nan"), ("--x", "inf"), ("--x", "abc"), ("--x", "0.5,-inf"),
+        ("--h", "inf"), ("--h", "nan"), ("--h", "0"),
+    ])
+    def test_bad_point_or_bandwidth_fails_before_reading(self, capsys,
+                                                         train_csv,
+                                                         monkeypatch, flag,
+                                                         value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("read the CSV before the flags were checked")
+
+        monkeypatch.setattr("selreg.cli.load_csv", must_not_run)
+        args = {"--x": "0.0", "--h": "0.3", flag: value}
+        code, report, err = run_decide(capsys, train_csv, "--beta", "0.05",
+                                       "--x", args["--x"], "--h", args["--h"])
+        assert code == 1
+        assert report is None
+        assert flag in err
+
+    def test_loocv_below_three_rows_rejects_low_density(self, capsys,
+                                                        tmp_path):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("0.0,1.0\n0.1,2.0\n", encoding="utf-8")
+        code, report, _ = run_decide(capsys, tiny, "--x", "0.0",
+                                     "--beta", "0.05", "--h-loocv")
+        assert code == 3
+        assert report["reason"] == "low_density"
+        assert report["h"] == 1.0
 
     def test_dimension_mismatch_exits_one(self, capsys, train_csv):
         code, _, _ = run_decide(capsys, train_csv, "--x", "0.0,1.0",

@@ -305,6 +305,16 @@ class TestBandwidthSelection:
             select_bandwidth_loocv(data, gauss1d, [0.5])
 
     @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
+    def test_rule_below_three_samples_fits_h_one_that_fails_the_gate(self,
+                                                                     kind):
+        kernel = kernel_spec(kind, 1)
+        data = Dataset(x=[[0.0], [0.0]], y=[0.0, 1.0])
+        fit = estimators.loocv_bandwidth(kernel)(data)
+        assert fit.h == 1.0
+        # n K(0) < 4a: even two samples on top of the query miss the floor
+        assert data.n * kernel.peak < 4.0 * kernel.a
+
+    @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
     def test_matches_bruteforce_oracle(self, kind):
         kernel = kernel_spec(kind, 1)
         rng = np.random.default_rng(8)
@@ -502,8 +512,9 @@ class TestDatasetValidation:
 
     def test_fit_validation(self, gauss1d):
         data = Dataset(x=[[1.0]], y=[2.0])
-        with pytest.raises(ValueError):
-            FitState(train=data, kernel=gauss1d, h=0.0)
+        for h in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                FitState(train=data, kernel=gauss1d, h=h)
         with pytest.raises(ValueError):
             FitState(train=Dataset(x=[[1.0, 2.0]], y=[0.0]),
                      kernel=gauss1d, h=1.0)

@@ -179,6 +179,11 @@ class TestConfigValidation:
         (acceptance_config, "data",  # checked though the scenario is synthetic
          {"csv": "a.csv", "target_column": 5.9, "pivot_feature": 1},
          "data.target_column"),
+        (acceptance_config, "synthetic.mean",
+         {"table": {"x": ["0", "1"], "y": [0, math.nan]}},
+         "synthetic.mean.table.x"),
+        (acceptance_config, "synthetic.sd",
+         {"table": {"x": [0, 1], "y": [0, math.nan]}}, "synthetic.sd.table.y"),
     ])
     def test_value_the_parser_used_to_let_through_is_refused(
             self, tmp_path, make, key, value, field):
@@ -412,6 +417,12 @@ class TestCoverageSweep:
                         "standardize": True}}
         cfg.update(kw)
         return cfg
+
+    def test_missing_csv_leaves_no_output_directory(self, tmp_path):
+        cfg = self.coverage_config(tmp_path / "absent.csv")
+        with pytest.raises(FileNotFoundError):
+            run_scenario(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_lambda_zero_rejects_everything(self, tmp_path, airfoil_csv):
         run_scenario(self.coverage_config(airfoil_csv), tmp_path / "out")

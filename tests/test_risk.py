@@ -11,7 +11,7 @@ from selreg import (AbstentionConfig, GroundTruth, Verdict,
                     pointwise_excess, synthetic_sampler)
 from selreg.abstention import decide
 from selreg.data import derive_seed
-from selreg.estimators import fixed_bandwidth
+from selreg.experiments import HPolicy
 from selreg.risk import oracle_abstains
 
 
@@ -114,7 +114,7 @@ class TestMonteCarlo(object):
         kernel = kernel_spec("gaussian", 1)
         args = dict(truth=sigmoid_truth, sampler=synthetic_sampler(sigmoid_spec),
                     n=80, cfgs=[AbstentionConfig(lam=0.36, beta=0.05)],
-                    fit_rule=fixed_bandwidth(kernel, 0.35),
+                    fit_rule=HPolicy("fixed", h=0.35).fit_rule(kernel),
                     x_grid=[-1.6, -0.5, 0.3, 0.8, 1.6], replicates=30,
                     seed=321)
         args.update(kw)
@@ -151,7 +151,8 @@ class TestMonteCarlo(object):
         ((rep,),) = monte_carlo_expected_excess(
             truth, synthetic_sampler(spec), 50,
             [AbstentionConfig(lam=0.36, beta=0.05)],
-            fixed_bandwidth(gauss1d, 0.3), [0.0], replicates=1, seed=5)
+            HPolicy("fixed", h=0.3).fit_rule(gauss1d), [0.0], replicates=1,
+            seed=5)
         assert rep.accept_fraction in (0.0, 1.0)
         assert rep.expected_excess >= 0.0
         assert rep.mc_stderr == 0.0
@@ -161,7 +162,7 @@ class TestMonteCarlo(object):
         # recompute E[chow] - oracle by hand on the same replicate stream;
         # the decomposition makes the two aggregates identical
         cfg = AbstentionConfig(lam=0.36, beta=0.05)
-        rule = fixed_bandwidth(gauss1d, 0.35)
+        rule = HPolicy("fixed", h=0.35).fit_rule(gauss1d)
         sampler = synthetic_sampler(sigmoid_spec)
         grid = [-1.6, -0.5, 0.3, 0.8, 1.6]
         reports = self.run(sigmoid_spec, sigmoid_truth, replicates=50)
@@ -183,7 +184,8 @@ class TestMonteCarlo(object):
         plugin = AbstentionConfig(lam=0.36, beta=0.5)
         both = monte_carlo_expected_excess(
             sigmoid_truth, synthetic_sampler(sigmoid_spec), 80,
-            [testing, plugin], fixed_bandwidth(kernel_spec("gaussian", 1), 0.35),
+            [testing, plugin],
+            HPolicy("fixed", h=0.35).fit_rule(kernel_spec("gaussian", 1)),
             [-1.6, -0.5, 0.3, 0.8, 1.6], replicates=30, seed=321)
         assert both == [self.run(sigmoid_spec, sigmoid_truth, cfgs=[testing]),
                         self.run(sigmoid_spec, sigmoid_truth, cfgs=[plugin])]
