@@ -110,7 +110,7 @@ def _query_point(fit: FitState, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (fit.train.d,):
         raise ValueError(f"query has shape {x.shape}, expected ({fit.train.d},)")
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x.tolist())):
         raise ValueError(f"query coordinates must be finite, got {x.tolist()}")
     return x
 

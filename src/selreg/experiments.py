@@ -25,12 +25,11 @@ from . import __version__
 from .abstention import AbstentionConfig, decide_batch
 from .data import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                    covariate_shift_split, load_csv, mean_quadratic,
-                   sd_heaviside, sd_sigmoid, standardize, synthetic_sampler,
-                   table_fn)
+                   sd_heaviside, sd_sigmoid, standardize, table_fn)
 from .estimators import FitState, evaluate_batch, loocv_bandwidth
 from .kernels import KernelSpec, kernel_spec
 from .normal import normal_quantile
-from .risk import GroundTruth, monte_carlo_expected_excess
+from .risk import monte_carlo_expected_excess
 
 SCENARIOS = ("acceptance_curve", "excess_risk_vs_n", "excess_risk_vs_beta",
              "pointwise_convergence", "coverage_mse_sweep")
@@ -145,58 +144,57 @@ def write_csv(table: Table, path) -> None:
 
 
 def _monte_carlo(cfg: ExperimentConfig, betas):
-    """Per n of cfg: (n, one report list per beta), from shared replicates.
+    """Per n of cfg: (n, RiskReport) with one config row per beta.
 
     Every replicate is fitted once and evaluated once on the grid; each beta
     scores that same evaluation, so the methods' columns are directly
     comparable.
     """
-    sampler = synthetic_sampler(cfg.synthetic)
     rule = cfg.h_policy.fit_rule(kernel_spec(cfg.kernel, cfg.synthetic.d))
     methods = [AbstentionConfig(lam=cfg.lam, beta=beta) for beta in betas]
-    truth = GroundTruth(mean_fn=cfg.synthetic.mean_fn, sd_fn=cfg.synthetic.sd_fn)
     return [(n, monte_carlo_expected_excess(
-                truth, sampler, n, methods, rule, cfg.x_grid,
-                cfg.replicates, cfg.seed))
+                cfg.synthetic, n, methods, rule, cfg.x_grid, cfg.replicates,
+                cfg.seed))
             for n in cfg.n_list]
 
 
 def run_acceptance_curve(cfg: ExperimentConfig) -> Table:
     """Fraction of accepted predictions per grid point and sample size."""
-    rows = [(float(rep.x[0]), n, rep.accept_fraction)
-            for n, (reports,) in _monte_carlo(cfg, [cfg.beta])
-            for rep in reports]
+    rows = [(float(x), n, accept)
+            for n, rep in _monte_carlo(cfg, [cfg.beta])
+            for x, accept in zip(cfg.x_grid, rep.accept_fraction[0])]
     return Table(header=("x", "n", "accept_fraction"), rows=rows)
 
 
 def run_excess_risk_vs_n(cfg: ExperimentConfig) -> Table:
     """Expected excess risk against n for the test and the plugin baseline."""
-    rows = [(float(rep.x[0]), n, method, rep.expected_excess, rep.mc_stderr)
-            for n, per_method in _monte_carlo(cfg, [cfg.beta, 0.5])
-            for method, reports in zip(("testing", "plugin"), per_method)
-            for rep in reports]
+    rows = [(float(x), n, method, excess, stderr)
+            for n, rep in _monte_carlo(cfg, [cfg.beta, 0.5])
+            for method, excesses, stderrs in zip(
+                ("testing", "plugin"), rep.expected_excess, rep.mc_stderr)
+            for x, excess, stderr in zip(cfg.x_grid, excesses, stderrs)]
     return Table(header=("x", "n", "method", "expected_excess", "stderr"),
                  rows=rows)
 
 
 def run_excess_risk_vs_beta(cfg: ExperimentConfig) -> Table:
     """Excess risk and acceptance at fixed n across significance levels."""
-    ((_, per_beta),) = _monte_carlo(cfg, cfg.beta_list)
-    rows = [(float(rep.x[0]), beta, "plugin" if beta == 0.5 else "testing",
-             rep.expected_excess, rep.mc_stderr, rep.accept_fraction)
-            for beta, reports in zip(cfg.beta_list, per_beta)
-            for rep in reports]
+    ((_, rep),) = _monte_carlo(cfg, cfg.beta_list)
+    rows = [(float(x), beta, "plugin" if beta == 0.5 else "testing", *cell)
+            for beta, *table in zip(cfg.beta_list, rep.expected_excess,
+                                    rep.mc_stderr, rep.accept_fraction)
+            for x, *cell in zip(cfg.x_grid, *table)]
     return Table(header=("x", "beta", "method", "expected_excess", "stderr",
                          "accept_fraction"), rows=rows)
 
 
 def run_pointwise_convergence(cfg: ExperimentConfig) -> Table:
     """Excess risk at diagnostic points across n under the h power law."""
-    c, exponent = cfg.h_policy.c, cfg.h_policy.exponent
-    rows = [(float(rep.x[0]), n, n * (c * n ** exponent),
-             rep.expected_excess, rep.mc_stderr)
-            for n, (reports,) in _monte_carlo(cfg, [cfg.beta])
-            for rep in reports]
+    # the power rule depends on n alone, so every replicate has the same h
+    rows = [(float(x), n, n * rep.h[0], excess, stderr)
+            for n, rep in _monte_carlo(cfg, [cfg.beta])
+            for x, excess, stderr in zip(cfg.x_grid, rep.expected_excess[0],
+                                         rep.mc_stderr[0])]
     return Table(header=("x", "n", "nh", "expected_excess", "stderr"),
                  rows=rows)
 

@@ -47,6 +47,14 @@ def _normal_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
+def _tail(q: np.ndarray) -> np.ndarray:
+    """Acklam's lower-tail approximation, for levels q < _P_LOW."""
+    r = np.sqrt(-2.0 * np.log(q))
+    num = ((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5]
+    den = (((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0
+    return num / den
+
+
 def _acklam(q: np.ndarray) -> np.ndarray:
     z = np.empty_like(q)
 
@@ -54,22 +62,13 @@ def _acklam(q: np.ndarray) -> np.ndarray:
     hi = q > _P_HIGH
     mid = ~(lo | hi)
 
-    if np.any(mid):
-        r = q[mid] - 0.5
-        s = r * r
-        num = ((((_A[0] * s + _A[1]) * s + _A[2]) * s + _A[3]) * s + _A[4]) * s + _A[5]
-        den = ((((_B[0] * s + _B[1]) * s + _B[2]) * s + _B[3]) * s + _B[4]) * s + 1.0
-        z[mid] = r * num / den
-    if np.any(lo):
-        r = np.sqrt(-2.0 * np.log(q[lo]))
-        num = ((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5]
-        den = (((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0
-        z[lo] = num / den
-    if np.any(hi):
-        r = np.sqrt(-2.0 * np.log(1.0 - q[hi]))
-        num = ((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5]
-        den = (((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0
-        z[hi] = -num / den
+    r = q[mid] - 0.5
+    s = r * r
+    num = ((((_A[0] * s + _A[1]) * s + _A[2]) * s + _A[3]) * s + _A[4]) * s + _A[5]
+    den = ((((_B[0] * s + _B[1]) * s + _B[2]) * s + _B[3]) * s + _B[4]) * s + 1.0
+    z[mid] = r * num / den
+    z[lo] = _tail(q[lo])
+    z[hi] = -_tail(1.0 - q[hi])
     return z
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .abstention import AbstentionConfig, Verdict, decide_batch
-from .data import apply_fn, derive_seed
+from .data import SyntheticSpec, apply_fn, derive_seed, synthetic_sampler
 from .estimators import Dataset, FitState, evaluate_batch
 
 
@@ -41,13 +41,12 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Monte-Carlo excess-risk summary at one grid point."""
+    """Monte-Carlo excess risk per (config, grid point), and h per replicate."""
 
-    x: np.ndarray
-    expected_excess: float
-    accept_fraction: float
-    mc_stderr: float
-    replicates: int
+    expected_excess: np.ndarray
+    mc_stderr: np.ndarray
+    accept_fraction: np.ndarray
+    h: np.ndarray
 
 
 def oracle_risk(sigma2: float, lam: float) -> float:
@@ -93,46 +92,45 @@ def pointwise_excess(f_hat: float, truth: GroundTruth, x, lam: float,
 
 
 def monte_carlo_expected_excess(
-    truth: GroundTruth,
-    sampler: Callable[[int, int], Dataset],
+    spec: SyntheticSpec,
     n: int,
     cfgs: Sequence[AbstentionConfig],
     fit_rule: Callable[[Dataset], FitState],
     x_grid,
     replicates: int,
     seed: int,
-) -> list[list[RiskReport]]:
+) -> RiskReport:
     """Average the pointwise excess over freshly drawn training sets.
 
-    Each replicate r draws sampler(n, derive_seed(seed, r)), fits once via
-    fit_rule, evaluates the whole grid once, and scores that evaluation
-    under every config in cfgs; the result holds one report list per
-    config, in the order of cfgs. Replicates are aggregated in index order,
-    so results do not depend on scheduling; the whole run is a pure
-    function of (inputs, seed).
+    Each replicate r draws synthetic_sampler(spec)(n, derive_seed(seed, r)),
+    fits once via fit_rule, evaluates the whole grid once, and scores that
+    evaluation under every config in cfgs against the spec's true mean and
+    noise scale. The report's arrays have one row per config and one column
+    per grid point, in the order of cfgs and x_grid. Replicates are
+    aggregated in index order, so results do not depend on scheduling; the
+    whole run is a pure function of (inputs, seed).
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    x_grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_grid]
-    if not x_grid:
+    if len(x_grid) == 0:
         raise ValueError("x_grid must be nonempty")
-    points = np.stack(x_grid)
-    mean, sigma2 = truth.moments(points)
+    points = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
+    mean, sigma2 = GroundTruth(spec.mean_fn, spec.sd_fn).moments(points)
+    sample = synthetic_sampler(spec)
 
-    excess = np.zeros((len(cfgs), len(x_grid), replicates))
+    excess = np.zeros((len(cfgs), len(points), replicates))
     accepted = np.zeros(excess.shape, dtype=bool)
+    h = np.empty(replicates)
     for r in range(replicates):
-        fit = fit_rule(sampler(n, derive_seed(seed, r)))
+        fit = fit_rule(sample(n, derive_seed(seed, r)))
+        h[r] = fit.h
         ev = evaluate_batch(fit, points)
         for c, cfg in enumerate(cfgs):
             accepted[c, :, r] = decide_batch(ev, fit, cfg.lam, cfg.z)[0]
             excess[c, :, r] = _excess(ev.f_hat, accepted[c, :, r], sigma2,
                                       mean, cfg.lam)
 
-    return [[RiskReport(x=x, expected_excess=float(e.mean()),
-                        accept_fraction=float(a.mean()),
-                        mc_stderr=(float(e.std(ddof=1)) / math.sqrt(replicates)
-                                   if replicates > 1 else 0.0),
-                        replicates=replicates)
-             for x, e, a in zip(x_grid, excess_c, accepted_c)]
-            for excess_c, accepted_c in zip(excess, accepted)]
+    stderr = (excess.std(axis=2, ddof=1) / math.sqrt(replicates)
+              if replicates > 1 else np.zeros(excess.shape[:2]))
+    return RiskReport(expected_excess=excess.mean(axis=2), mc_stderr=stderr,
+                      accept_fraction=accepted.mean(axis=2), h=h)

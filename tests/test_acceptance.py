@@ -16,7 +16,7 @@ from selreg import (AbstentionConfig, Dataset, FitState, GroundTruth,
                     conditional_chow_risk, decide, evaluate_batch,
                     evaluate_point, generate_synthetic, kernel_spec,
                     monte_carlo_expected_excess, oracle_risk,
-                    pointwise_excess, synthetic_sampler)
+                    pointwise_excess)
 from selreg import mean_quadratic, sd_sigmoid
 from selreg.abstention import density_floor
 from selreg.data import airfoil_like_spec
@@ -178,16 +178,15 @@ def test_criterion_06_quantile_accuracy():
 
 
 def test_criterion_07_regime_reproduction():
-    sampler = synthetic_sampler(SIGMOID_SPEC)
     cfg = AbstentionConfig(lam=0.36, beta=0.05)
 
     # (a) acceptance bands at n = 1000, LOO-CV bandwidths, 100 replicates
     grid = np.linspace(-2.0, 2.0, 81)
-    (reports,) = monte_carlo_expected_excess(
-        SIGMOID_TRUTH, sampler, 1000, [cfg], loocv_bandwidth(GAUSS1),
+    rep = monte_carlo_expected_excess(
+        SIGMOID_SPEC, 1000, [cfg], loocv_bandwidth(GAUSS1),
         [np.array([x]) for x in grid], replicates=100, seed=20240710)
-    xs = np.array([float(r.x[0]) for r in reports])
-    fr = np.array([r.accept_fraction for r in reports])
+    xs = grid
+    fr = rep.accept_fraction[0]
     noisy_band = fr[(xs >= 1.0) & (xs <= 2.0)].mean()
     quiet_band = fr[(xs >= -2.0) & (xs <= -1.0)].mean()
     assert noisy_band < 0.10
@@ -204,13 +203,13 @@ def test_criterion_07_regime_reproduction():
     methods = [AbstentionConfig(lam=0.36, beta=0.05),
                AbstentionConfig(lam=0.36, beta=0.5)]
     for n in (50, 500):
-        per_method = monte_carlo_expected_excess(
-            SIGMOID_TRUTH, sampler, n, methods, rule, points,
+        rep = monte_carlo_expected_excess(
+            SIGMOID_SPEC, n, methods, rule, points,
             replicates=100, seed=1001)
-        for method, reps in zip(("testing", "plugin"), per_method):
-            for r in reps:
-                curves[(method, n, float(r.x[0]))] = (r.expected_excess,
-                                                      r.mc_stderr)
+        for m, method in enumerate(("testing", "plugin")):
+            for i, x in enumerate((-0.5, 0.8, 1.6)):
+                curves[(method, n, x)] = (rep.expected_excess[m, i],
+                                          rep.mc_stderr[m, i])
     for method in ("testing", "plugin"):
         for x in (0.8, 1.6):
             e50, s50 = curves[(method, 50, x)]
@@ -236,16 +235,16 @@ def test_criterion_07_regime_reproduction():
 
 
 def test_criterion_08_testing_beats_plugin_in_noisy_region():
-    sampler = synthetic_sampler(SIGMOID_SPEC)
     rule = HPolicy("power", c=0.12, exponent=-0.2).fit_rule(GAUSS1)
     point = [np.array([1.6])]
-    (testing,), (plugin,) = monte_carlo_expected_excess(
-        SIGMOID_TRUTH, sampler, 500,
+    rep = monte_carlo_expected_excess(
+        SIGMOID_SPEC, 500,
         [AbstentionConfig(lam=0.36, beta=0.05),
          AbstentionConfig(lam=0.36, beta=0.5)],
         rule, point, replicates=200, seed=1001)
-    pooled = math.hypot(testing.mc_stderr, plugin.mc_stderr)
-    assert plugin.expected_excess - testing.expected_excess > 2.0 * pooled
+    testing, plugin = rep.expected_excess[:, 0]
+    pooled = math.hypot(*rep.mc_stderr[:, 0])
+    assert plugin - testing > 2.0 * pooled
     report(8, "testing excess < plugin excess at x=1.6 (2 pooled stderr)")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from selreg import (AbstentionConfig, GroundTruth, Verdict,
                     pointwise_excess, synthetic_sampler)
 from selreg.abstention import decide
 from selreg.data import derive_seed
+from selreg.estimators import (default_bandwidth_grid, loocv_bandwidth,
+                               select_bandwidth_loocv)
 from selreg.experiments import HPolicy
 from selreg.risk import oracle_abstains
 
@@ -110,35 +113,36 @@ class TestPointwiseExcess:
 
 
 class TestMonteCarlo(object):
-    def run(self, sigmoid_spec, sigmoid_truth, **kw):
+    def run(self, sigmoid_spec, **kw):
         kernel = kernel_spec("gaussian", 1)
-        args = dict(truth=sigmoid_truth, sampler=synthetic_sampler(sigmoid_spec),
-                    n=80, cfgs=[AbstentionConfig(lam=0.36, beta=0.05)],
+        args = dict(spec=sigmoid_spec, n=80,
+                    cfgs=[AbstentionConfig(lam=0.36, beta=0.05)],
                     fit_rule=HPolicy("fixed", h=0.35).fit_rule(kernel),
                     x_grid=[-1.6, -0.5, 0.3, 0.8, 1.6], replicates=30,
                     seed=321)
         args.update(kw)
-        return monte_carlo_expected_excess(**args)[0]
+        return monte_carlo_expected_excess(**args)
 
-    def test_deterministic_given_seed(self, sigmoid_spec, sigmoid_truth):
-        first = self.run(sigmoid_spec, sigmoid_truth)
-        second = self.run(sigmoid_spec, sigmoid_truth)
-        assert first == second
+    def test_deterministic_given_seed(self, sigmoid_spec):
+        first = self.run(sigmoid_spec)
+        second = self.run(sigmoid_spec)
+        assert all(np.array_equal(getattr(first, f.name),
+                                  getattr(second, f.name))
+                   for f in dataclasses.fields(first))
 
-    def test_seed_changes_results(self, sigmoid_spec, sigmoid_truth):
-        first = self.run(sigmoid_spec, sigmoid_truth)
-        second = self.run(sigmoid_spec, sigmoid_truth, seed=322)
-        assert any(a.expected_excess != b.expected_excess
-                   for a, b in zip(first, second))
+    def test_seed_changes_results(self, sigmoid_spec):
+        first = self.run(sigmoid_spec)
+        second = self.run(sigmoid_spec, seed=322)
+        assert np.any(first.expected_excess != second.expected_excess)
 
-    def test_report_shape_and_ranges(self, sigmoid_spec, sigmoid_truth):
-        reports = self.run(sigmoid_spec, sigmoid_truth)
-        assert len(reports) == 5
-        for rep in reports:
-            assert rep.replicates == 30
-            assert 0.0 <= rep.accept_fraction <= 1.0
-            assert rep.expected_excess >= 0.0
-            assert rep.mc_stderr >= 0.0
+    def test_report_shape_and_ranges(self, sigmoid_spec):
+        rep = self.run(sigmoid_spec)
+        assert rep.expected_excess.shape == (1, 5)
+        assert rep.mc_stderr.shape == rep.accept_fraction.shape == (1, 5)
+        assert rep.h.shape == (30,)
+        assert np.all((0.0 <= rep.accept_fraction) & (rep.accept_fraction <= 1.0))
+        assert np.all(rep.expected_excess >= 0.0)
+        assert np.all(rep.mc_stderr >= 0.0)
 
     def test_zero_noise_single_replicate(self, gauss1d):
         from selreg import SyntheticSpec, Uniform, mean_quadratic
@@ -146,16 +150,13 @@ class TestMonteCarlo(object):
                              mean_fn=mean_quadratic,
                              sd_fn=lambda x: 0.0 * np.asarray(x),
                              n=50, seed=0)
-        truth = GroundTruth(mean_fn=mean_quadratic,
-                            sd_fn=lambda x: 0.0 * np.asarray(x))
-        ((rep,),) = monte_carlo_expected_excess(
-            truth, synthetic_sampler(spec), 50,
-            [AbstentionConfig(lam=0.36, beta=0.05)],
+        rep = monte_carlo_expected_excess(
+            spec, 50, [AbstentionConfig(lam=0.36, beta=0.05)],
             HPolicy("fixed", h=0.3).fit_rule(gauss1d), [0.0], replicates=1,
             seed=5)
-        assert rep.accept_fraction in (0.0, 1.0)
-        assert rep.expected_excess >= 0.0
-        assert rep.mc_stderr == 0.0
+        assert rep.accept_fraction[0, 0] in (0.0, 1.0)
+        assert rep.expected_excess[0, 0] >= 0.0
+        assert rep.mc_stderr[0, 0] == 0.0
 
     def test_matches_chow_minus_oracle_identity(self, sigmoid_spec,
                                                 sigmoid_truth, gauss1d):
@@ -165,9 +166,9 @@ class TestMonteCarlo(object):
         rule = HPolicy("fixed", h=0.35).fit_rule(gauss1d)
         sampler = synthetic_sampler(sigmoid_spec)
         grid = [-1.6, -0.5, 0.3, 0.8, 1.6]
-        reports = self.run(sigmoid_spec, sigmoid_truth, replicates=50)
+        report = self.run(sigmoid_spec, replicates=50)
         for i, x in enumerate(grid):
-            chows = []
+            chows, accepts = [], []
             for r in range(50):
                 ds = sampler(80, derive_seed(321, r))
                 fit = rule(ds)
@@ -175,26 +176,40 @@ class TestMonteCarlo(object):
                 chows.append(conditional_chow_risk(
                     decision.eval.f_hat, sigmoid_truth, x, cfg.lam,
                     decision.verdict))
+                accepts.append(decision.verdict is Verdict.ACCEPT)
             oracle = oracle_risk(sigmoid_truth.moments([[x]])[1][0], cfg.lam)
             assert np.mean(chows) - oracle == pytest.approx(
-                reports[i].expected_excess, abs=1e-12)
+                report.expected_excess[0, i], abs=1e-12)
+            assert report.accept_fraction[0, i] == np.mean(accepts)
 
-    def test_methods_share_replicates(self, sigmoid_spec, sigmoid_truth):
+    def test_h_is_each_replicates_loocv_pick(self, sigmoid_spec, gauss1d):
+        report = self.run(sigmoid_spec, fit_rule=loocv_bandwidth(gauss1d),
+                          replicates=6)
+        sampler = synthetic_sampler(sigmoid_spec)
+        picks = []
+        for r in range(6):
+            ds = sampler(80, derive_seed(321, r))
+            picks.append(select_bandwidth_loocv(ds, gauss1d,
+                                                default_bandwidth_grid(ds)))
+        assert len(set(picks)) > 1  # replicates must not share one h
+        assert report.h.tolist() == picks
+
+    def test_methods_share_replicates(self, sigmoid_spec):
         testing = AbstentionConfig(lam=0.36, beta=0.05)
         plugin = AbstentionConfig(lam=0.36, beta=0.5)
-        both = monte_carlo_expected_excess(
-            sigmoid_truth, synthetic_sampler(sigmoid_spec), 80,
-            [testing, plugin],
-            HPolicy("fixed", h=0.35).fit_rule(kernel_spec("gaussian", 1)),
-            [-1.6, -0.5, 0.3, 0.8, 1.6], replicates=30, seed=321)
-        assert both == [self.run(sigmoid_spec, sigmoid_truth, cfgs=[testing]),
-                        self.run(sigmoid_spec, sigmoid_truth, cfgs=[plugin])]
+        both = self.run(sigmoid_spec, cfgs=[testing, plugin])
+        for c, cfg in enumerate((testing, plugin)):
+            alone = self.run(sigmoid_spec, cfgs=[cfg])
+            for name in ("expected_excess", "mc_stderr", "accept_fraction"):
+                assert np.array_equal(getattr(both, name)[c],
+                                      getattr(alone, name)[0])
+            assert np.array_equal(both.h, alone.h)
 
-    def test_rejects_bad_arguments(self, sigmoid_spec, sigmoid_truth):
+    def test_rejects_bad_arguments(self, sigmoid_spec):
         with pytest.raises(ValueError):
-            self.run(sigmoid_spec, sigmoid_truth, replicates=0)
+            self.run(sigmoid_spec, replicates=0)
         with pytest.raises(ValueError):
-            self.run(sigmoid_spec, sigmoid_truth, x_grid=[])
+            self.run(sigmoid_spec, x_grid=[])
 
 
 class TestGroundTruth:
