@@ -18,5 +18,5 @@ from .estimators import (Dataset, FitState, PointEvaluation, evaluate_batch,
                          evaluate_point, select_bandwidth_loocv)
 from .kernels import KernelKind, KernelSpec, kernel_spec
 from .normal import normal_cdf, normal_quantile
-from .risk import (GroundTruth, RiskReport, conditional_chow_risk,
+from .risk import (RiskReport, conditional_chow_risk,
                    monte_carlo_expected_excess, oracle_risk, pointwise_excess)

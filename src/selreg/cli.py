@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .abstention import AbstentionConfig, Verdict, decide_from_evaluation
+from .abstention import AbstentionConfig, decide_from_evaluation
 from .data import load_csv
 from .estimators import evaluate_point
 from .experiments import ConfigError, HPolicy, run_scenario
@@ -63,7 +63,7 @@ def _cmd_decide(args) -> int:
         "threshold": _jsonable(decision.threshold),
         "h": fit.h,
     }))
-    return 0 if decision.verdict is Verdict.ACCEPT else 3
+    return 0 if decision.accepted else 3
 
 
 def _cmd_experiment(args) -> int:

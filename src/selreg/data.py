@@ -82,8 +82,7 @@ def sd_sigmoid(x):
 
 def sd_heaviside(x):
     """Step noise scale: 1 for x >= 0, else 0 (the origin counts as noisy)."""
-    out = (np.asarray(x, dtype=float) >= 0.0).astype(float)
-    return float(out) if out.ndim == 0 else out
+    return (np.asarray(x, dtype=float) >= 0.0).astype(float)
 
 
 def mean_quadratic(x):
@@ -106,25 +105,12 @@ def table_fn(xs, ys) -> Callable:
     return fn
 
 
-def apply_fn(fn: Callable, x_matrix: np.ndarray) -> np.ndarray:
-    """Evaluate a mean/sd function on every covariate row.
-
-    For 1-D problems the callable receives the bare coordinate array; for
-    d > 1 it receives the (n, d) matrix and should consume the last axis.
-    Scalar returns broadcast to all rows.
-    """
-    x_matrix = np.asarray(x_matrix, dtype=float)
-    arg = x_matrix[:, 0] if x_matrix.shape[1] == 1 else x_matrix
-    out = np.asarray(fn(arg), dtype=float)
-    return np.broadcast_to(out, (x_matrix.shape[0],)).astype(float, copy=True)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Heteroskedastic regression draw: Y = f(X) + sd(X) * eps.
 
     covariate_dists lists one Uniform or Normal per coordinate; mean_fn and
-    sd_fn follow the apply_fn contract. eps is standard normal.
+    sd_fn are evaluated through truth(). eps is standard normal.
     """
 
     covariate_dists: tuple
@@ -144,6 +130,19 @@ class SyntheticSpec:
     def d(self) -> int:
         return len(self.covariate_dists)
 
+    def truth(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """True (mean, sd) at every row of an (m, d) matrix of points.
+
+        The callables receive the bare coordinate array when d = 1 and the
+        matrix otherwise (consuming its last axis); scalar returns broadcast
+        to every row.
+        """
+        points = np.asarray(points, dtype=float)
+        arg = points[:, 0] if points.shape[1] == 1 else points
+        return tuple(np.broadcast_to(np.asarray(fn(arg), dtype=float),
+                                     (len(points),)).astype(float, copy=True)
+                     for fn in (self.mean_fn, self.sd_fn))
+
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw n i.i.d. pairs from the spec; bit-identical given the seed.
@@ -157,8 +156,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     for j, dist in enumerate(spec.covariate_dists):
         x[:, j] = dist.from_uniforms(u[j * n:(j + 1) * n])
     eps = normal_quantile(u[d * n:])
-    y = apply_fn(spec.mean_fn, x) + apply_fn(spec.sd_fn, x) * eps
-    return Dataset(x=x, y=y)
+    mean, sd = spec.truth(x)
+    return Dataset(x=x, y=mean + sd * eps)
 
 
 def synthetic_sampler(spec: SyntheticSpec) -> Callable[[int, int], Dataset]:

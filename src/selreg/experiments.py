@@ -31,9 +31,6 @@ from .kernels import KernelSpec, kernel_spec
 from .normal import normal_quantile
 from .risk import monte_carlo_expected_excess
 
-SCENARIOS = ("acceptance_curve", "excess_risk_vs_n", "excess_risk_vs_beta",
-             "pointwise_convergence", "coverage_mse_sweep")
-
 DIAGNOSTIC_POINTS = (-1.6, -0.5, 0.3, 0.8, 1.6)
 
 _MEAN_FNS = {"quadratic": mean_quadratic}
@@ -235,6 +232,7 @@ _RUNNERS = {
     "pointwise_convergence": run_pointwise_convergence,
     "coverage_mse_sweep": run_coverage_mse_sweep,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def _git_blob_sha1(path) -> str:

@@ -4,9 +4,10 @@ On a known synthetic truth the conditional Chow risk of an accepted
 prediction has the closed form sigma^2(x) + (f_hat(x) - f(x))^2, so no test
 labels need to be sampled. The pointwise excess then decomposes exactly as
 
-    (f_hat - f)^2 * 1{accept} + |sigma^2 - lambda| * 1{verdict != oracle}
+    (f_hat - f)^2 * 1{accept} + |sigma^2 - lambda| * 1{accept != oracle}
 
-and Monte Carlo only averages over replicated training sets.
+and Monte Carlo only averages over replicated training sets. Both risk
+functions score values elementwise: floats for one point, arrays for a grid.
 """
 
 from __future__ import annotations
@@ -17,26 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .abstention import AbstentionConfig, Verdict, decide_batch
-from .data import SyntheticSpec, apply_fn, derive_seed, synthetic_sampler
+from .abstention import AbstentionConfig, decide_batch
+from .data import SyntheticSpec, derive_seed, synthetic_sampler
 from .estimators import Dataset, FitState, evaluate_batch
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """True mean and noise-scale functions of a synthetic data model.
-
-    Both callables follow the data.apply_fn contract: 1-D problems receive
-    the bare coordinate array, higher-dimensional ones the point matrix.
-    """
-
-    mean_fn: Callable
-    sd_fn: Callable
-
-    def moments(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """(f, sigma^2) at every row of an (m, d) matrix of points."""
-        return (apply_fn(self.mean_fn, points),
-                np.square(apply_fn(self.sd_fn, points)))
 
 
 @dataclass(frozen=True)
@@ -63,32 +47,21 @@ def oracle_abstains(sigma2: float, lam: float) -> bool:
     return sigma2 >= lam
 
 
-def conditional_chow_risk(f_hat: float, truth: GroundTruth, x, lam: float,
-                          verdict: Verdict) -> float:
-    """Chow risk at x conditional on the fitted estimate and verdict.
+def conditional_chow_risk(f_hat, accepted, mean, sigma2, lam: float):
+    """Chow risk conditional on the fitted estimate and verdict.
 
     Rejection pays lam; acceptance pays the exact conditional expectation
-    of the squared error, sigma^2(x) + (f_hat - f(x))^2.
+    of the squared error, sigma2 + (f_hat - mean)^2.
     """
-    if verdict is Verdict.REJECT:
-        return lam
-    mean, sigma2 = truth.moments(np.reshape(x, (1, -1)))
-    return float(sigma2[0] + (f_hat - mean[0]) ** 2)
+    return np.where(accepted, sigma2 + np.square(f_hat - mean), lam)
 
 
-def _excess(f_hat, accepted, sigma2, mean, lam: float):
-    """Elementwise excess over the oracle risk: estimation error on accepted
-    points plus |sigma2 - lam| where the verdict differs from the oracle's."""
+def pointwise_excess(f_hat, accepted, mean, sigma2, lam: float):
+    """Excess over the oracle risk: estimation error on accepted points
+    plus |sigma2 - lam| where the verdict differs from the oracle's."""
     wrong_call = np.logical_not(accepted) != oracle_abstains(sigma2, lam)
     return (np.where(wrong_call, np.abs(sigma2 - lam), 0.0)
             + np.where(accepted, np.square(f_hat - mean), 0.0))
-
-
-def pointwise_excess(f_hat: float, truth: GroundTruth, x, lam: float,
-                     verdict: Verdict) -> float:
-    """Excess over the oracle risk: estimation error plus decision mismatch."""
-    mean, sigma2 = truth.moments(np.reshape(x, (1, -1)))
-    return float(_excess(f_hat, verdict is Verdict.ACCEPT, sigma2, mean, lam)[0])
 
 
 def monte_carlo_expected_excess(
@@ -115,7 +88,8 @@ def monte_carlo_expected_excess(
     if len(x_grid) == 0:
         raise ValueError("x_grid must be nonempty")
     points = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
-    mean, sigma2 = GroundTruth(spec.mean_fn, spec.sd_fn).moments(points)
+    mean, sd = spec.truth(points)
+    sigma2 = np.square(sd)
     sample = synthetic_sampler(spec)
 
     excess = np.zeros((len(cfgs), len(points), replicates))
@@ -127,8 +101,8 @@ def monte_carlo_expected_excess(
         ev = evaluate_batch(fit, points)
         for c, cfg in enumerate(cfgs):
             accepted[c, :, r] = decide_batch(ev, fit, cfg.lam, cfg.z)[0]
-            excess[c, :, r] = _excess(ev.f_hat, accepted[c, :, r], sigma2,
-                                      mean, cfg.lam)
+            excess[c, :, r] = pointwise_excess(ev.f_hat, accepted[c, :, r],
+                                               mean, sigma2, cfg.lam)
 
     stderr = (excess.std(axis=2, ddof=1) / math.sqrt(replicates)
               if replicates > 1 else np.zeros(excess.shape[:2]))

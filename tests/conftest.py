@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selreg import (Dataset, FitState, GroundTruth, SyntheticSpec, Uniform,
+from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
                     generate_synthetic, kernel_spec, mean_quadratic,
                     sd_sigmoid)
 
@@ -17,11 +17,6 @@ def sigmoid_spec():
     return SyntheticSpec(covariate_dists=(Uniform(-2.0, 2.0),),
                          mean_fn=mean_quadratic, sd_fn=sd_sigmoid,
                          n=200, seed=20240612)
-
-
-@pytest.fixture
-def sigmoid_truth():
-    return GroundTruth(mean_fn=mean_quadratic, sd_fn=sd_sigmoid)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from scipy import stats
 from selreg import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                     covariate_shift_split, generate_synthetic, load_csv,
                     mean_quadratic, sd_heaviside, sd_sigmoid, standardize)
-from selreg.data import airfoil_like_spec, apply_fn, derive_seed, table_fn
+from selreg.data import airfoil_like_spec, derive_seed, table_fn
 
 
 class TestNamedFunctions:
@@ -40,13 +40,34 @@ class TestNamedFunctions:
         with pytest.raises(ValueError):
             table_fn([0.0, 0.0], [1.0, 2.0])
 
-    def test_apply_fn_dispatch(self):
-        x1 = np.array([[1.0], [2.0]])
-        np.testing.assert_allclose(apply_fn(mean_quadratic, x1), [0.25, 1.0])
-        x2 = np.array([[1.0, 2.0], [0.0, 3.0]])
-        np.testing.assert_allclose(
-            apply_fn(lambda m: m.sum(axis=-1), x2), [3.0, 3.0])
-        np.testing.assert_allclose(apply_fn(lambda m: 1.5, x1), [1.5, 1.5])
+
+class TestSyntheticSpecTruth:
+    @staticmethod
+    def spec(mean_fn, sd_fn, d=1):
+        return SyntheticSpec(covariate_dists=(Uniform(-2.0, 2.0),) * d,
+                             mean_fn=mean_fn, sd_fn=sd_fn, n=1, seed=0)
+
+    def test_one_coordinate_rows(self, sigmoid_spec):
+        mean, sd = sigmoid_spec.truth([[2.0], [0.0]])
+        assert mean.tolist() == [1.0, 0.0]
+        assert sd[1] == 0.5
+        seen = []
+        spec = self.spec(lambda x: seen.append(np.shape(x)) or x, np.abs)
+        spec.truth(np.zeros((3, 1)))
+        assert seen == [(3,)]  # d = 1 passes the bare coordinate array
+
+    def test_two_covariate_rows(self):
+        spec = self.spec(lambda x: np.sum(np.square(x), axis=-1),
+                         lambda x: np.sum(np.abs(x), axis=-1), d=2)
+        mean, sd = spec.truth(np.array([[1.0, 2.0], [1.0, -2.0]]))
+        assert mean.tolist() == [5.0, 5.0]
+        assert sd.tolist() == [3.0, 3.0]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constant_model_broadcasts_to_every_row(self, d):
+        mean, sd = self.spec(lambda x: 1.5, lambda x: 0.5, d).truth(
+            np.zeros((3, d)))
+        assert mean.tolist() == [1.5] * 3 and sd.tolist() == [0.5] * 3
 
 
 class TestGenerateSynthetic:

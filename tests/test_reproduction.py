@@ -6,10 +6,15 @@ input paths in the config are resolved against the repository root. The
 slowest, acceptance_curve (about 12 s on 2 cores, nearly all of it 400
 LOO-CV fits up to n = 1000), is the end-to-end check that the bandwidth
 selection still picks the same h. Every committed config also parses, so a
-config that goes stale fails here and not at run time.
+config that goes stale fails here and not at run time, and the bundled
+data/airfoil_like.csv regenerates byte for byte from its script (the d = 5
+draw path).
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,12 @@ def test_committed_csv_reproduced(tmp_path, name):
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
 def test_committed_config_parses(path):
     config_from_dict(json.loads(path.read_text()))
+
+
+def test_airfoil_like_csv_regenerated(tmp_path):
+    out = tmp_path / "a.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_airfoil_like.py"),
+                    "--out", str(out)], check=True, capture_output=True, env=env)
+    assert out.read_bytes() == (ROOT / "data" / "airfoil_like.csv").read_bytes()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selreg import (AbstentionConfig, GroundTruth, Verdict,
-                    conditional_chow_risk, kernel_spec,
+from selreg import (AbstentionConfig, SyntheticSpec, Uniform,
+                    conditional_chow_risk, kernel_spec, mean_quadratic,
                     monte_carlo_expected_excess, oracle_risk,
                     pointwise_excess, synthetic_sampler)
 from selreg.abstention import decide
@@ -16,11 +16,6 @@ from selreg.estimators import (default_bandwidth_grid, loocv_bandwidth,
                                select_bandwidth_loocv)
 from selreg.experiments import HPolicy
 from selreg.risk import oracle_abstains
-
-
-def const_truth(mean, sd):
-    return GroundTruth(mean_fn=lambda x: mean + 0.0 * np.asarray(x),
-                       sd_fn=lambda x: sd + 0.0 * np.asarray(x))
 
 
 class TestOracleRisk:
@@ -45,19 +40,14 @@ class TestOracleRisk:
 
 class TestConditionalChowRisk:
     def test_reject_pays_lambda(self):
-        truth = const_truth(1.0, 0.5)
-        assert conditional_chow_risk(123.0, truth, 0.0, 0.36,
-                                     Verdict.REJECT) == 0.36
+        assert conditional_chow_risk(123.0, False, 1.0, 0.25, 0.36) == 0.36
 
     def test_accept_with_exact_mean(self):
-        truth = const_truth(1.0, 0.5)
-        assert conditional_chow_risk(1.0, truth, 0.0, 0.36,
-                                     Verdict.ACCEPT) == 0.25
+        assert conditional_chow_risk(1.0, True, 1.0, 0.25, 0.36) == 0.25
 
     def test_accept_matches_monte_carlo_oracle(self):
         # E (Y - 1.2)^2 with Y ~ N(1, 0.25): closed form 0.25 + 0.04 = 0.29
-        truth = const_truth(1.0, 0.5)
-        closed = conditional_chow_risk(1.2, truth, 0.0, 0.36, Verdict.ACCEPT)
+        closed = conditional_chow_risk(1.2, True, 1.0, 0.25, 0.36)
         rng = np.random.default_rng(1234)
         draws = (rng.normal(1.0, 0.5, size=1_000_000) - 1.2) ** 2
         stderr = draws.std(ddof=1) / 1000.0
@@ -67,31 +57,26 @@ class TestConditionalChowRisk:
 
 class TestPointwiseExcess:
     def test_zero_when_matching_oracle_with_exact_mean(self):
-        truth = const_truth(2.0, 0.8)  # sigma2 = 0.64 >= lambda -> abstain
-        assert pointwise_excess(2.0, truth, 0.0, 0.36, Verdict.REJECT) == 0.0
-        truth = const_truth(2.0, 0.4)  # sigma2 = 0.16 < lambda -> accept
-        assert pointwise_excess(2.0, truth, 0.0, 0.36, Verdict.ACCEPT) == 0.0
+        # sigma2 = 0.64 >= lambda -> abstain; sigma2 = 0.16 < lambda -> accept
+        assert pointwise_excess(2.0, False, 2.0, 0.64, 0.36) == 0.0
+        assert pointwise_excess(2.0, True, 2.0, 0.16, 0.36) == 0.0
 
     def test_wrong_accept_in_noisy_region(self):
         # sigma2 = 0.64 > lambda = 0.36, accepted with bias 0.1
-        truth = const_truth(1.0, 0.8)
-        got = pointwise_excess(1.1, truth, 0.0, 0.36, Verdict.ACCEPT)
+        got = pointwise_excess(1.1, True, 1.0, 0.64, 0.36)
         assert got == pytest.approx(0.01 + 0.28, abs=1e-15)
 
     def test_wrong_reject_in_quiet_region(self):
         # sigma2 = 0.16 < lambda = 0.36, rejected
-        truth = const_truth(1.0, 0.4)
-        got = pointwise_excess(5.0, truth, 0.0, 0.36, Verdict.REJECT)
+        got = pointwise_excess(5.0, False, 1.0, 0.16, 0.36)
         assert got == pytest.approx(0.20, abs=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 3.0), st.floats(0.01, 2.0), st.floats(-3, 3),
            st.floats(-3, 3), st.booleans())
     def test_decomposition_identity(self, sigma2, lam, f, f_hat, accept):
-        truth = const_truth(f, math.sqrt(sigma2))
-        verdict = Verdict.ACCEPT if accept else Verdict.REJECT
-        chow = conditional_chow_risk(f_hat, truth, 0.0, lam, verdict)
-        excess = pointwise_excess(f_hat, truth, 0.0, lam, verdict)
+        chow = conditional_chow_risk(f_hat, accept, f, sigma2, lam)
+        excess = pointwise_excess(f_hat, accept, f, sigma2, lam)
         assert excess >= 0.0
         assert abs((chow - oracle_risk(sigma2, lam)) - excess) <= 1e-12
 
@@ -99,10 +84,9 @@ class TestPointwiseExcess:
         # any fixed rule's Monte-Carlo Chow risk dominates the oracle risk
         rng = np.random.default_rng(7)
         for sigma2 in (0.1, 0.36, 0.9):
-            truth = const_truth(0.5, math.sqrt(sigma2))
-            for verdict in (Verdict.ACCEPT, Verdict.REJECT):
+            for accept in (True, False):
                 f_hat = 0.5 + rng.normal(scale=0.2)
-                if verdict is Verdict.ACCEPT:
+                if accept:
                     sq = (rng.normal(0.5, math.sqrt(sigma2), size=10_000)
                           - f_hat) ** 2
                     mc = sq.mean()
@@ -145,7 +129,6 @@ class TestMonteCarlo(object):
         assert np.all(rep.mc_stderr >= 0.0)
 
     def test_zero_noise_single_replicate(self, gauss1d):
-        from selreg import SyntheticSpec, Uniform, mean_quadratic
         spec = SyntheticSpec(covariate_dists=(Uniform(-2, 2),),
                              mean_fn=mean_quadratic,
                              sd_fn=lambda x: 0.0 * np.asarray(x),
@@ -158,8 +141,7 @@ class TestMonteCarlo(object):
         assert rep.expected_excess[0, 0] >= 0.0
         assert rep.mc_stderr[0, 0] == 0.0
 
-    def test_matches_chow_minus_oracle_identity(self, sigmoid_spec,
-                                                sigmoid_truth, gauss1d):
+    def test_matches_chow_minus_oracle_identity(self, sigmoid_spec, gauss1d):
         # recompute E[chow] - oracle by hand on the same replicate stream;
         # the decomposition makes the two aggregates identical
         cfg = AbstentionConfig(lam=0.36, beta=0.05)
@@ -168,16 +150,18 @@ class TestMonteCarlo(object):
         grid = [-1.6, -0.5, 0.3, 0.8, 1.6]
         report = self.run(sigmoid_spec, replicates=50)
         for i, x in enumerate(grid):
+            mean, sd = sigmoid_spec.truth([[x]])
+            sigma2 = np.square(sd[0])
             chows, accepts = [], []
             for r in range(50):
                 ds = sampler(80, derive_seed(321, r))
                 fit = rule(ds)
                 decision = decide(fit, [x], cfg)
                 chows.append(conditional_chow_risk(
-                    decision.eval.f_hat, sigmoid_truth, x, cfg.lam,
-                    decision.verdict))
-                accepts.append(decision.verdict is Verdict.ACCEPT)
-            oracle = oracle_risk(sigmoid_truth.moments([[x]])[1][0], cfg.lam)
+                    decision.eval.f_hat, decision.accepted, mean[0], sigma2,
+                    cfg.lam))
+                accepts.append(decision.accepted)
+            oracle = oracle_risk(sigma2, cfg.lam)
             assert np.mean(chows) - oracle == pytest.approx(
                 report.expected_excess[0, i], abs=1e-12)
             assert report.accept_fraction[0, i] == np.mean(accepts)
@@ -212,40 +196,24 @@ class TestMonteCarlo(object):
             self.run(sigmoid_spec, x_grid=[])
 
 
-class TestGroundTruth:
-    def test_one_coordinate_rows(self):
-        truth = GroundTruth(mean_fn=lambda x: np.asarray(x) ** 2 / 4,
-                            sd_fn=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x))))
-        mean, sigma2 = truth.moments([[2.0], [0.0]])
-        assert mean.tolist() == [1.0, 0.0]
-        assert sigma2[1] == 0.25
-        # constant models broadcast to every row
-        mean, sigma2 = const_truth(1.5, 0.5).moments(np.zeros((3, 1)))
-        assert mean.tolist() == [1.5] * 3 and sigma2.tolist() == [0.25] * 3
-
-    def test_multivariate_rows(self):
-        truth = GroundTruth(mean_fn=lambda x: np.sum(np.square(x), axis=-1),
-                            sd_fn=lambda x: np.sum(np.abs(x), axis=-1))
-        mean, sigma2 = truth.moments(np.array([[1.0, 2.0], [1.0, -2.0]]))
-        assert mean.tolist() == [5.0, 5.0]
-        assert sigma2.tolist() == [9.0, 9.0]
-
-    def test_batch_rows_match_one_point_views(self, sigmoid_truth):
-        # the scalar helpers are views of moments: same bits row by row
-        grid = np.linspace(-2.0, 2.0, 81)
-        mean, sigma2 = sigmoid_truth.moments(grid[:, None])
-        for x, m, s2 in zip(grid, mean, sigma2):
-            f_hat = m + 0.25
-            assert conditional_chow_risk(f_hat, sigmoid_truth, x, 0.36,
-                                         Verdict.ACCEPT) == s2 + (f_hat - m) ** 2
-            assert pointwise_excess(f_hat, sigmoid_truth, x, 0.36,
-                                    Verdict.REJECT) == (abs(s2 - 0.36)
-                                                        if s2 < 0.36 else 0.0)
+def test_array_scores_equal_per_element_float_scores(sigmoid_spec):
+    # the risk functions are elementwise: an 81-point grid scored at once
+    # gives the same bits as 81 calls on floats
+    grid = np.linspace(-2.0, 2.0, 81)
+    mean, sd = sigmoid_spec.truth(grid[:, None])
+    sigma2 = np.square(sd)
+    f_hat = mean + np.linspace(-0.3, 0.3, 81)
+    accepted = np.arange(81) % 3 != 0
+    for fn in (conditional_chow_risk, pointwise_excess):
+        batch = fn(f_hat, accepted, mean, sigma2, 0.36)
+        single = [float(fn(float(f), bool(a), float(m), float(s2), 0.36))
+                  for f, a, m, s2 in zip(f_hat, accepted, mean, sigma2)]
+        assert batch.shape == (81,)
+        assert np.array_equal(batch, single)
 
 
 def test_chow_accept_nan_never_reaches_excess(gauss1d):
     # an accepted decision always carries a finite estimate, so the excess
     # bias term is only evaluated on finite f_hat
-    truth = const_truth(0.0, 0.1)
-    value = pointwise_excess(float("nan"), truth, 0.0, 0.36, Verdict.REJECT)
+    value = pointwise_excess(float("nan"), False, 0.0, 0.1 ** 2, 0.36)
     assert value == abs(0.1 ** 2 - 0.36)
