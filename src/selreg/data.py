@@ -1,9 +1,10 @@
 """Data sources: synthetic generation, CSV ingestion, scaling and splits.
 
 Synthetic draws come from a Philox counter RNG and map raw 64-bit words
-through the inverse normal CDF, so experiment streams are bit-reproducible
-across platforms (rejection-sampling normals are not). All operations are
-pure functions of their inputs and seeds.
+through the inverse normal CDF (rejection-sampling normals would tie a stream
+to the sampler's algorithm), so a seed fixes its stream and the standard
+normal draws do not depend on numpy's SIMD level. All operations are pure
+functions of their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,9 +71,6 @@ class Normal:
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self.mu + self.sd * normal_quantile(u)
-
-
-CovariateDist = Union[Uniform, Normal]
 
 
 def sd_sigmoid(x):

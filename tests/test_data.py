@@ -1,14 +1,33 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 from scipy import stats
 
 from selreg import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                     covariate_shift_split, generate_synthetic, load_csv,
                     mean_quadratic, sd_heaviside, sd_sigmoid, standardize)
 from selreg.data import airfoil_like_spec, derive_seed, table_fn
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A draw whose only transcendental step is the normal quantile (x and eps);
+# the mean and sd are exact arithmetic. A quantile built on numpy's exp/log
+# changed about 6 of its 2M values when numpy's AVX-512 loops were disabled.
+SIMD_DRAW = """
+import sys
+from selreg import Normal, SyntheticSpec, generate_synthetic
+from selreg import mean_quadratic, sd_heaviside
+ds = generate_synthetic(SyntheticSpec((Normal(0.0, 1.0),), mean_quadratic,
+                                      sd_heaviside, n=1_000_000, seed=5))
+sys.stdout.buffer.write(ds.x.tobytes() + ds.y.tobytes())
+"""
 
 
 class TestNamedFunctions:
@@ -111,6 +130,23 @@ class TestGenerateSynthetic:
                              n=10_000, seed=77)
         y = generate_synthetic(spec).y
         assert stats.kstest(y, "norm").statistic < 0.02
+
+    def test_draws_do_not_depend_on_numpy_simd_level(self):
+        info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        targets = sorted({t for sigs in info.values() for loops in sigs.values()
+                          for t in loops["available"].split()
+                          if not t.startswith("baseline")})
+        if not targets:
+            pytest.skip("numpy has only baseline float64 exp/log loops here")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", SIMD_DRAW], env=env,
+                             check=True, capture_output=True).stdout
+        spec = SyntheticSpec((Normal(0.0, 1.0),), mean_quadratic, sd_heaviside,
+                             n=1_000_000, seed=5)
+        ds = generate_synthetic(spec)
+        assert out == ds.x.tobytes() + ds.y.tobytes()
 
     def test_multifeature_generation(self):
         ds = generate_synthetic(airfoil_like_spec(n=500, seed=4))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
@@ -94,12 +94,19 @@ class TestWeights:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
+    @example(3684)  # n = 1, query 42.5 h away: the Gaussian mass underflows
     def test_weights_nonnegative_and_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
         fit = make_fit(rng.normal(size=(n, 1)), rng.normal(size=n),
                        h=float(rng.uniform(0.05, 2.0)))
-        w = weights_at(fit, rng.normal(size=1))
+        x = rng.normal(size=1)
+        w = weights_at(fit, x)
+        ev = evaluate_point(fit, x)
+        if ev.weight_denominator == 0.0:
+            # zero mass: the weights are undefined, NaN by contract
+            assert np.isnan(w).all() and ev.p_hat == 0.0
+            return
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
 

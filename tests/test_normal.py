@@ -61,6 +61,14 @@ def test_tail_accuracy():
         assert abs(phi_oracle(z) - q) <= 1e-8
 
 
+def test_upper_tail_relative_accuracy():
+    # levels near 1 give the variance test's z_{1-beta} and the upper noise
+    # tail; the CDF round trip above cannot see a 1e-9 relative error there
+    q = 1.0 - np.logspace(-15, -2, 131)
+    ref = special.ndtri(q)
+    assert np.all(np.abs(normal_quantile(q) - ref) <= 1e-14 * np.abs(ref))
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, float("nan")])
 def test_rejects_levels_outside_unit_interval(bad):
     with pytest.raises(ValueError):
