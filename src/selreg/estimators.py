@@ -9,14 +9,20 @@ kernel row, weight sum and dot products, so its estimates are the same bits
 whatever it is batched with; ``evaluate_point`` is the one-point view.
 Evaluation is exact brute force, O(n) per query point; at desk scale
 (n <= 2e4) nothing faster is needed. LOO-CV bandwidth selection works on
-row blocks of the same budget of kernel values, two elementwise passes and
-two matrix products per block and grid h; its argmin breaks near-ties
-(relative 1e-9) towards the smaller h.
+row blocks of the same budget of kernel values: d difference passes give a
+block's squared distances, then each grid h takes two elementwise passes
+and two matrix products. When the kernel matrix takes more than one block
+(n > 362), the grid is split across one thread per CPU of the process's
+affinity mask, each with its own block buffers; every score is computed by
+the same operations whatever the thread count, so it has the same bits.
+The argmin breaks near-ties (relative 1e-9) towards the smaller h.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,6 +39,8 @@ _BLOCK = 1 << 17
 # LOO-CV scores within this relative distance of the minimum tie; the
 # smallest tied h wins
 _TIE_RTOL = 1e-9
+
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,18 @@ class FitState:
         if not 0.0 < self.h < math.inf:
             raise ValueError(f"bandwidth must be a positive finite real, "
                              f"got {self.h!r}")
+        # the density estimate and its floor divide by h ** d; below the
+        # smallest normal float both overflow to inf
+        h = float(self.h)
+        try:
+            volume = h ** self.train.d
+        except OverflowError:
+            volume = math.inf
+        if not _SMALLEST_NORMAL <= volume < math.inf:
+            raise ValueError(
+                f"bandwidth {h!r} is out of range at d = {self.train.d}: h ** d "
+                + ("overflows" if volume == math.inf
+                   else f"= {volume!r} underflows"))
         if self.kernel.dimension != self.train.d:
             raise ValueError(
                 f"kernel dimension {self.kernel.dimension} does not match "
@@ -162,17 +182,36 @@ def default_bandwidth_grid(data: Dataset, num: int = 30) -> np.ndarray:
     return np.geomspace(0.05 * spread, spread, num)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     """Leave-one-out squared error sum_i (y_i - f_{-i}(x_i))^2 for each h.
 
     The scores follow the order of ``grid``. The kernel matrix is symmetric,
     so each pair is evaluated once: a block holds rows lo:hi and only the
-    columns lo:n, with the diagonal distance set to +inf (K = 0 there).
-    Per grid h the block is overwritten with the shape g(||x_i - x_k||^2 /
-    h^2) (one multiply, one exp), ``block @ K(0) [1, y]`` gives those rows'
-    kernel mass and weighted-y sums, and the transposed block adds the
-    mirrored sums of columns hi:n. A row has zero mass when every product
-    K(0) * g is exactly 0 (outside the support, or by underflow).
+    columns lo:n, with the diagonal distance set to +inf (K = 0 there). The
+    block's squared distances are direct differences, sum_c (x_ic - x_kc)^2
+    added in coordinate order. Per grid h the block is overwritten with the
+    shape g(||x_i - x_k||^2 / h^2) (one multiply, one exp), ``block @ K(0)
+    [1, y]`` gives those rows' kernel mass and weighted-y sums, and the
+    transposed block adds the mirrored sums of columns hi:n. A row has zero
+    mass when every product K(0) * g is exactly 0 (outside the support, or
+    by underflow).
+
+    When the triangle takes more than one block, the grid is split across
+    one thread per CPU of the process (at most one per h): thread t, the
+    calling thread being t = 0, runs the whole block loop for the grid
+    indices t, t + T, t + 2T, ... with its own block buffers and writes only
+    their rows of the sums. Each score is thus computed by the same
+    operations in the same order whatever T is, so it has the same bits for
+    any CPU count. An exception in any thread is raised here once every
+    thread has ended.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -185,33 +224,62 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     if n < 3:
         raise ValueError("LOO-CV needs at least 3 samples")
 
-    x, y = data.x, data.y
+    y = data.y
+    # one row per coordinate, so every difference pass reads contiguous data
+    xt = np.ascontiguousarray(data.x.T)
     # K(0) scales the operand rather than being dropped, so each product
     # K(0) * g, and a zero mass, underflows as the kernel value itself does
     peak_y = kernel.peak * np.column_stack([np.ones(n), y])
     # sums[j, i]: kernel mass and kernel-weighted y of row i without sample i,
     # at grid[j]
     sums = np.zeros((grid.size, n, 2))
-    sq_norms = np.einsum("ij,ij->i", x, x)
     step = min(n, max(1, _BLOCK // n))
-    sq_buf, buf = np.empty((2, step * n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        size = (hi - lo) * (n - lo)
-        sq = sq_buf[:size].reshape(hi - lo, n - lo)
-        vals = buf[:size].reshape(sq.shape)
-        # squared distances of the block, shared by all h:
-        # max(|x_i|^2 + |x_k|^2 - 2 x_i.x_k, 0), with no temporary arrays
-        np.add(sq_norms[lo:hi, None], sq_norms[None, lo:], out=sq)
-        np.matmul(x[lo:hi], x[lo:].T, out=vals)
-        np.subtract(sq, np.multiply(2.0, vals, out=vals), out=sq)
-        np.maximum(sq, 0.0, out=sq)
-        diag = np.arange(hi - lo)
-        sq[diag, diag] = np.inf
-        for j, h in enumerate(grid):
-            shape_sq(kernel, sq, 1.0 / (h * h), out=vals)
-            sums[j, lo:hi] += vals @ peak_y[lo:]
-            sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
+    # one block holds the whole triangle: too little work to share
+    workers = 1 if step >= n else min(grid.size, _cpu_count())
+    failed = []
+
+    def accumulate(first: int) -> None:
+        sq_buf, buf = np.empty((2, step * n))
+        for lo in range(0, n, step):
+            if failed:  # another thread raised, so the call fails anyway
+                return
+            hi = min(lo + step, n)
+            size = (hi - lo) * (n - lo)
+            sq = sq_buf[:size].reshape(hi - lo, n - lo)
+            vals = buf[:size].reshape(sq.shape)
+            # squared distances of the block, shared by the thread's h
+            np.subtract(xt[0, lo:hi, None], xt[0, None, lo:], out=sq)
+            np.square(sq, out=sq)
+            for c in range(1, xt.shape[0]):
+                np.subtract(xt[c, lo:hi, None], xt[c, None, lo:], out=vals)
+                np.add(sq, np.square(vals, out=vals), out=sq)
+            diag = np.arange(hi - lo)
+            sq[diag, diag] = np.inf
+            for j in range(first, grid.size, workers):
+                h = grid[j]
+                shape_sq(kernel, sq, 1.0 / (h * h), out=vals)
+                sums[j, lo:hi] += vals @ peak_y[lo:]
+                sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
+
+    def run(first: int) -> None:
+        try:
+            accumulate(first)
+        except BaseException as exc:  # raised again by the calling thread
+            failed.append(exc)
+
+    threads = []
+    try:
+        for t in range(1, workers):
+            thread = threading.Thread(target=run, args=(t,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+
     mass, weighted = sums[..., 0], sums[..., 1]
     # a held-out point with zero mass (every kernel value exactly 0) scores
     # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart,
@@ -240,9 +308,19 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     Cost: the kernel matrix is symmetric, so each pair of samples is
     evaluated once per grid h, about n^2 / 2 kernel values (plus the small
     diagonal squares of the blocks), half of the full matrix; per h that is
-    one multiply and one exp over the values and two matrix products.
-    Memory: one block (at most _BLOCK kernel values and as many squared
-    distances) plus 2 * len(grid) * n floats of accumulated sums.
+    one multiply and one exp over the values and two matrix products. The
+    squared distances are direct differences, d subtract-and-square passes
+    per block, with no matrix product; the per-h products take at most
+    2^18 multiply-adds, a size a threaded BLAS such as OpenBLAS runs on the
+    calling thread, so the threads here do not compete with BLAS threads.
+    Above one block (n > 362) the grid is split across T threads, one per
+    CPU of the process's affinity mask and at most one per h; each thread
+    recomputes every block's distances for its own h. The chosen h and
+    every score have the same bits for any T, so results do not depend on
+    the CPU count.
+    Memory: one block per thread (at most _BLOCK kernel values and as many
+    squared distances, 2 MB) plus 2 * len(grid) * n floats of accumulated
+    sums.
     """
     ordered = np.sort(np.asarray(grid, dtype=float))
     scores = _loocv_scores(data, kernel, ordered)

@@ -255,9 +255,11 @@ def run_scenario(config: dict, out_dir) -> dict:
     csv_path = out_dir / f"{cfg.scenario}.csv"
     write_csv(table, csv_path)
 
-    hashes = {}
+    hashes, inputs = {}, {}
     if cfg.scenario == "coverage_mse_sweep":
         hashes = {p: _git_blob_sha1(p) for p in cfg.data.paths()}
+        # config keeps the paths as given; this records where they led
+        inputs = {p: str(Path(p).resolve()) for p in cfg.data.paths()}
     manifest = {
         "config": config,
         "seed": cfg.seed,
@@ -265,6 +267,7 @@ def run_scenario(config: dict, out_dir) -> dict:
         "finished": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": time.monotonic() - t0,
         "outputs": [str(csv_path)],
+        "inputs": inputs,
         "input_hashes": hashes,
         "version": __version__,
     }

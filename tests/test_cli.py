@@ -145,6 +145,24 @@ class TestDecide:
         assert report["reason"] == "low_density"
         assert report["h"] == 1.0
 
+    @pytest.mark.parametrize("h,problem", [("1e-70", "= 0.0 underflows"),
+                                           ("1e-63", "= 1e-315 underflows"),
+                                           ("1e70", "overflows")])
+    def test_bandwidth_out_of_range_at_d5_exits_one(self, capsys, tmp_path,
+                                                    h, problem):
+        # h itself is a positive finite real, so only the fit can refuse it
+        path = tmp_path / "d5.csv"
+        path.write_text("".join(f"{i},{i % 3},{i % 5},{i % 7},{i % 2},{i}\n"
+                                for i in range(6)), encoding="utf-8")
+        code = main(["decide", "--train", str(path), "--target-col", "5",
+                     "--x", "0,0,0,0,0", "--lambda", "0.36", "--beta", "0.05",
+                     "--h", h])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bandwidth {float(h)!r}")
+        assert problem in captured.err
+
     def test_dimension_mismatch_exits_one(self, capsys, train_csv):
         code, _, _ = run_decide(capsys, train_csv, "--x", "0.0,1.0",
                              "--beta", "0.05", "--h", "0.3")

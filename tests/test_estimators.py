@@ -1,4 +1,6 @@
 import math
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -414,7 +416,8 @@ class TestBandwidthSelection:
 
 
 # (kernel, d) pairs; the Epanechnikov kernel exists for d = 1 only
-KERNEL_DIMS = [("gaussian", 1), ("gaussian", 2), ("epanechnikov", 1)]
+KERNEL_DIMS = [("gaussian", 1), ("gaussian", 2), ("gaussian", 5),
+               ("epanechnikov", 1)]
 
 # Gaussian d = 2: exp(-0.5 * 38.57^2) is 2 ulps of the smallest subnormal,
 # and K(0) = 1 / (2 pi) times that rounds to 0
@@ -426,17 +429,21 @@ SUBNORMAL_GAP = 38.57
 BLOCK_BUDGETS = [40 * 40, 20 * 40, 3 * 40, 1]
 
 
+def loocv_case(kind, d, n=40):
+    """A smooth n-point problem, its kernel and a descending 8-point grid."""
+    rng = np.random.default_rng(60 + d)
+    x = rng.uniform(-2, 2, size=(n, d))
+    y = x.sum(axis=1) ** 2 / 4 + rng.normal(scale=0.3, size=n)
+    return (Dataset(x=x, y=y), kernel_spec(kind, d),
+            np.geomspace(0.1, 3.0, 8)[::-1])
+
+
 class TestLoocvBlocks:
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     @pytest.mark.parametrize("kind,d", KERNEL_DIMS)
     def test_score_curve_matches_oracle(self, monkeypatch, kind, d, budget):
         monkeypatch.setattr(estimators, "_BLOCK", budget)
-        kernel = kernel_spec(kind, d)
-        rng = np.random.default_rng(60 + d)
-        x = rng.uniform(-2, 2, size=(40, d))
-        y = x.sum(axis=1) ** 2 / 4 + rng.normal(scale=0.3, size=40)
-        data = Dataset(x=x, y=y)
-        grid = np.geomspace(0.1, 3.0, 8)[::-1]  # scores follow grid order
+        data, kernel, grid = loocv_case(kind, d)  # scores follow grid order
         scores = _loocv_scores(data, kernel, grid)
         np.testing.assert_allclose(scores, loocv_oracle(data, kernel, grid),
                                    rtol=1e-12, atol=0.0)
@@ -479,6 +486,64 @@ class TestLoocvBlocks:
         fallback = (3.0 - y.mean()) ** 2
         assert _loocv_scores(data, kernel, grid).tolist() == [fallback] * 3
         assert loocv_oracle(data, kernel, grid).tolist() == [fallback] * 3
+
+
+class TestLoocvThreads:
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    @pytest.mark.parametrize("kind,d", KERNEL_DIMS)
+    def test_scores_have_the_same_bits_for_any_worker_count(
+            self, monkeypatch, kind, d, budget):
+        monkeypatch.setattr(estimators, "_BLOCK", budget)
+        data, kernel, grid = loocv_case(kind, d)
+        runs = []
+        before = threading.active_count()
+        # 3 splits the 8 grid values unevenly; beyond len(grid) is capped
+        for workers in (1, 2, 3, grid.size + 3):
+            monkeypatch.setattr(estimators, "_cpu_count", lambda w=workers: w)
+            runs.append(_loocv_scores(data, kernel, grid))
+            assert threading.active_count() == before
+        for scores in runs[1:]:
+            assert np.array_equal(scores, runs[0])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(estimators, "_BLOCK", 3 * 40)
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: workers)
+        data, kernel, grid = loocv_case("gaussian", 1)
+        # the sorted grid's second h belongs to the first started thread
+        h = np.sort(grid)[1]
+        bad_scale = 1.0 / (h * h)
+        raised_in = []
+
+        class Boom(Exception):
+            pass
+
+        def failing_shape_sq(kernel, sq, scale=1.0, out=None):
+            if scale == bad_scale:
+                raised_in.append(threading.current_thread())
+                raise Boom(scale)
+            return shape_sq(kernel, sq, scale, out)
+
+        monkeypatch.setattr(estimators, "shape_sq", failing_shape_sq)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            select_bandwidth_loocv(data, kernel, grid)
+        assert threading.active_count() == before
+        assert raised_in and threading.main_thread() not in raised_in
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        # at the default budget one block holds n = 362 rows, not 363
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(estimators.threading, "Thread", no_thread)
+        assert (_BLOCK // 362) >= 362 > _BLOCK // 363
+        data, kernel, grid = loocv_case("gaussian", 1, n=362)
+        _loocv_scores(data, kernel, grid)
+        data, kernel, grid = loocv_case("gaussian", 1, n=363)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            _loocv_scores(data, kernel, grid)
 
 
 class TestConsistencySmoke:
@@ -527,3 +592,18 @@ class TestDatasetValidation:
                      kernel=gauss1d, h=1.0)
         with pytest.raises(ValueError):
             FitState(train=Dataset(x=[[1.0]]), kernel=gauss1d, h=1.0)
+
+    @pytest.mark.parametrize("h,problem", [(1e-70, "= 0.0 underflows"),
+                                           (1e-63, "= 1e-315 underflows"),
+                                           (1e70, "overflows")])
+    def test_fit_rejects_h_to_the_d_out_of_range(self, h, problem):
+        # h is fine at d = 1; at d = 5, h ** d is 0, subnormal or beyond the
+        # floats, and the density estimate and its floor divide by it
+        FitState(train=Dataset(x=[[1.0]], y=[2.0]),
+                 kernel=kernel_spec("gaussian", 1), h=h)
+        data = Dataset(x=np.zeros((1, 5)), y=[2.0])
+        for value in (h, np.float64(h)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"bandwidth {h!r} ")) as excinfo:
+                FitState(train=data, kernel=kernel_spec("gaussian", 5), h=value)
+            assert problem in str(excinfo.value)

@@ -281,6 +281,7 @@ class TestAcceptanceCurve:
         assert on_disk["seed"] == 11
         assert on_disk["version"]
         assert on_disk["outputs"] == manifest["outputs"]
+        assert on_disk["inputs"] == on_disk["input_hashes"] == {}
         assert "started" in on_disk and "finished" in on_disk
 
 
@@ -470,6 +471,25 @@ class TestCoverageSweep:
         assert str(airfoil_csv) in manifest["input_hashes"]
         digest = manifest["input_hashes"][str(airfoil_csv)]
         assert len(digest) == 40 and int(digest, 16) >= 0
+
+    def test_manifest_resolves_inputs_for_a_rerun_elsewhere(
+            self, tmp_path, airfoil_csv, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.coverage_config("airfoil_like.csv")
+        manifest = run_scenario(cfg, "out")
+        on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert on_disk["config"] == cfg  # the path as given
+        assert list(on_disk["input_hashes"]) == ["airfoil_like.csv"]
+        assert on_disk["inputs"] == manifest["inputs"] == {
+            "airfoil_like.csv": str(airfoil_csv.resolve())}
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        rerun = dict(cfg, data=dict(cfg["data"],
+                                    csv=on_disk["inputs"]["airfoil_like.csv"]))
+        run_scenario(rerun, "again")
+        assert ((elsewhere / "again" / "coverage_mse_sweep.csv").read_bytes()
+                == (tmp_path / "out" / "coverage_mse_sweep.csv").read_bytes())
 
     def test_presplit_csv_path(self, tmp_path, airfoil_csv):
         from selreg import covariate_shift_split, ShiftSplit, load_csv
