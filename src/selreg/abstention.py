@@ -7,6 +7,9 @@ explored, and (2) the one-sided test on the conditional variance passes:
     sigma2_hat(x) <= lambda * (1 - z_{1-beta} * ||K||_2 * sqrt(2 / (n h^d p_hat(x))))
 
 The estimated density stands in for the true one on the right-hand side.
+Both tests read n h^d p_hat(x) = sum_i K((x - x_i) / h), the kernel mass m
+(weight_denominator), and the code evaluates them on it: the gate is
+m >= 4a and the threshold lambda * (1 - z_{1-beta} ||K||_2 sqrt(2 / m)).
 Setting beta = 0.5 makes z vanish and the rule degenerates to the plugin
 baseline: accept iff the density gate holds and sigma2_hat <= lambda.
 
@@ -54,9 +57,10 @@ class AbstentionConfig:
     def __post_init__(self):
         if not (0.0 < self.lam < math.inf):
             raise ValueError(f"lambda must be a positive finite real, "
-                             f"got {self.lam!r}")
+                             f"got {float(self.lam)!r}")
         if not (0.0 < self.beta <= 0.5):
-            raise ValueError(f"beta must lie in (0, 0.5], got {self.beta!r}")
+            raise ValueError(f"beta must lie in (0, 0.5], "
+                             f"got {float(self.beta)!r}")
         object.__setattr__(self, "z", normal_quantile(1.0 - self.beta))
 
 
@@ -74,32 +78,20 @@ class Decision:
         return self.verdict is Verdict.ACCEPT
 
 
-def density_floor(fit: FitState) -> float:
-    """Minimum estimated density 4a / (n h^d) required to run the test."""
-    return 4.0 * fit.kernel.a / (fit.train.n * fit.h ** fit.train.d)
-
-
-def variance_threshold(lam: float, z: float, l2_norm: float, n: int,
-                       h: float, d: int, p_hat):
-    """Right-hand side of the variance test, elementwise; NaN where p_hat = 0."""
-    p_hat = np.asarray(p_hat, dtype=float)
-    ratio = np.divide(2.0, n * h ** d * p_hat, out=np.full(p_hat.shape, np.nan),
-                      where=p_hat > 0.0)
-    return lam * (1.0 - z * l2_norm * np.sqrt(ratio))
-
-
 def decide_batch(ev: PointEvaluation, fit: FitState, lam: float, z: float):
     """Apply the gate and the variance test to every point of an evaluation.
 
     Returns the arrays (accepted, low_density, threshold), shaped like
-    ev.p_hat, so that sweeps over (lam, z) reuse one evaluation. Zero kernel
-    mass shows up as p_hat = 0 and fails the gate; a non-positive threshold
-    cannot be met (sigma2_hat >= 0). lam = 0 is allowed here (threshold 0)
-    for the coverage sweep's leftmost cell.
+    ev.weight_denominator, so that sweeps over (lam, z) reuse one
+    evaluation. Zero kernel mass fails the gate, with a NaN threshold; a
+    non-positive threshold cannot be met (sigma2_hat >= 0). lam = 0 is
+    allowed here (threshold 0) for the coverage sweep's leftmost cell.
     """
-    threshold = variance_threshold(lam, z, fit.kernel.l2_norm, fit.train.n,
-                                   fit.h, fit.train.d, ev.p_hat)
-    low_density = np.asarray(ev.p_hat) < density_floor(fit)
+    mass = np.asarray(ev.weight_denominator, dtype=float)
+    ratio = np.divide(2.0, mass, out=np.full(mass.shape, np.nan),
+                      where=mass > 0.0)
+    threshold = lam * (1.0 - z * fit.kernel.l2_norm * np.sqrt(ratio))
+    low_density = mass < 4.0 * fit.kernel.a
     return ~low_density & (ev.sigma2_hat <= threshold), low_density, threshold
 
 

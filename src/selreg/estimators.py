@@ -91,9 +91,10 @@ class FitState:
             raise ValueError("fitting requires responses")
         if not 0.0 < self.h < math.inf:
             raise ValueError(f"bandwidth must be a positive finite real, "
-                             f"got {self.h!r}")
-        # the density estimate and its floor divide by h ** d; below the
-        # smallest normal float both overflow to inf
+                             f"got {float(self.h)!r}")
+        # only p_hat = mass / (n h ** d) divides by h ** d, the abstention
+        # rule reads the mass itself; below the smallest normal float p_hat
+        # loses its precision or overflows to inf
         h = float(self.h)
         try:
             volume = h ** self.train.d
@@ -115,9 +116,11 @@ class PointEvaluation:
     """All estimator outputs at one query point, or arrays of them.
 
     evaluate_point fills the fields with floats, evaluate_batch with
-    length-m arrays. For a query with zero kernel mass (possible for the
-    bounded-support kernel, or by underflow far from the data) f_hat and
-    sigma2_hat are NaN and p_hat is 0.
+    length-m arrays. weight_denominator is the kernel mass
+    sum_i K((x - x_i) / h) = n h^d p_hat(x), the local effective sample size
+    on which the abstention rule is stated. For a query with zero kernel
+    mass (possible for the bounded-support kernel, or by underflow far from
+    the data) f_hat and sigma2_hat are NaN and p_hat is 0.
     """
 
     f_hat: float
@@ -130,23 +133,24 @@ def _query_point(fit: FitState, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (fit.train.d,):
         raise ValueError(f"query has shape {x.shape}, expected ({fit.train.d},)")
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError(f"query coordinates must be finite, got {x.tolist()}")
     return x
 
 
 def evaluate_batch(fit: FitState, X) -> PointEvaluation:
     """Mean, variance and density estimates at each row of X.
 
-    X is an (m, d) matrix; the fields of the result are length-m arrays.
-    Rows are processed in blocks of at most _BLOCK coordinate differences
-    (at least one row), and every row is computed on its own, so a row does
-    not depend on the rows batched with it.
+    X is an (m, d) matrix of finite reals; the fields of the result are
+    length-m arrays. Rows are processed in blocks of at most _BLOCK
+    coordinate differences (at least one row), and every row is computed on
+    its own, so a row does not depend on the rows batched with it.
     """
     train, h = fit.train, fit.h
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != train.d:
         raise ValueError(f"queries have shape {X.shape}, expected (m, {train.d})")
+    if not all(map(math.isfinite, X.ravel().tolist())):
+        bad = X[~np.isfinite(X).all(axis=1)][0]
+        raise ValueError(f"query coordinates must be finite, got {bad.tolist()}")
     f_hat, sigma2_hat, denom = np.empty((3, X.shape[0]))
     step = max(1, _BLOCK // (train.n * train.d))
     for lo in range(0, X.shape[0], step):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from selreg import (AbstentionConfig, Dataset, FitState, Reason, Verdict,
                     decide, decide_batch, kernel_spec)
-from selreg.abstention import (decide_from_evaluation, density_floor,
-                               variance_threshold)
-from selreg.estimators import evaluate_batch, evaluate_point
+from selreg.abstention import decide_from_evaluation
+from selreg.estimators import PointEvaluation, evaluate_batch, evaluate_point
 from selreg.normal import normal_quantile
 
 from conftest import make_fit
@@ -37,6 +37,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             AbstentionConfig(lam=lam, beta=beta)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("as_type", [float, np.float64])
+    def test_message_prints_the_value_as_a_float(self, value, as_type):
+        # a numpy scalar reads as 'nan', not 'np.float64(nan)'
+        with pytest.raises(ValueError, match=re.escape(
+                f"lambda must be a positive finite real, got {value!r}")):
+            AbstentionConfig(lam=as_type(value), beta=0.05)
+        with pytest.raises(ValueError, match=re.escape(
+                f"beta must lie in (0, 0.5], got {value!r}")):
+            AbstentionConfig(lam=1.0, beta=as_type(value))
+
     def test_z_is_derived_from_beta(self):
         assert AbstentionConfig(lam=0.36, beta=0.05).z == Z95
         assert AbstentionConfig(lam=0.36, beta=0.5).z == 0.0
@@ -44,30 +55,51 @@ class TestConfig:
             AbstentionConfig(lam=0.36, beta=0.05, z=1.0)
 
 
+def at_mass(mass, sigma2_hat=0.1):
+    """Hand-built one-point evaluation with the given kernel mass."""
+    return PointEvaluation(f_hat=0.0, sigma2_hat=sigma2_hat, p_hat=math.nan,
+                           weight_denominator=mass)
+
+
+# the rule reads only the kernel of the fit it is given
+GAUSS_FIT = make_fit([[0.0]], [0.0], h=0.3)
+
+
 class TestThresholdFormula:
     def test_derived_numeric_case(self):
-        # lambda=0.36, beta=0.05, n=100, h=0.3, p_hat=0.25, Gaussian d=1
-        got = variance_threshold(0.36, Z95, L2_GAUSS_1D, 100, 0.3, 1, 0.25)
+        # lambda=0.36, beta=0.05, n=100, h=0.3, p_hat=0.25, Gaussian d=1:
+        # the mass n h p_hat is 7.5
+        got = decide_from_evaluation(at_mass(7.5), GAUSS_FIT, 0.36,
+                                     Z95).threshold
         oracle = 0.36 * (1 - Z95 * L2_GAUSS_1D * math.sqrt(2 / (100 * 0.3 * 0.25)))
         assert got == oracle
         assert got == pytest.approx(0.1976, abs=1e-3)
 
     def test_plugin_threshold_is_lambda(self):
-        assert variance_threshold(0.36, 0.0, L2_GAUSS_1D, 100, 0.3, 1,
-                                  0.25) == 0.36
+        assert decide_from_evaluation(at_mass(7.5), GAUSS_FIT, 0.36,
+                                      0.0).threshold == 0.36
 
-    def test_zero_density_gives_nan(self):
-        assert math.isnan(variance_threshold(0.36, Z95, L2_GAUSS_1D,
-                                             100, 0.3, 1, 0.0))
+    def test_zero_mass_gives_nan(self):
+        d = decide_from_evaluation(at_mass(0.0), GAUSS_FIT, 0.36, Z95)
+        assert math.isnan(d.threshold)
+        assert d.reason is Reason.LOW_DENSITY
+
+    def test_gate_is_four_a_on_the_mass(self):
+        four_a = 4 * GAUSS_FIT.kernel.a
+        below = decide_from_evaluation(at_mass(np.nextafter(four_a, 0)),
+                                       GAUSS_FIT, 10.0, 0.0)
+        at = decide_from_evaluation(at_mass(four_a), GAUSS_FIT, 10.0, 0.0)
+        assert below.reason is Reason.LOW_DENSITY
+        assert at.reason is Reason.ACCEPTED
 
     def test_accept_and_reject_around_threshold(self):
         # realize the derived case end to end via decide_from_evaluation
         rng = np.random.default_rng(0)
         fit = random_fit(rng, n=100)
         ev = evaluate_point(fit, [0.0])
-        assert ev.p_hat >= density_floor(fit)
-        threshold = variance_threshold(0.36, Z95, fit.kernel.l2_norm,
-                                       100, fit.h, 1, ev.p_hat)
+        assert ev.weight_denominator >= 4 * fit.kernel.a
+        threshold = 0.36 * (1 - Z95 * fit.kernel.l2_norm
+                            * math.sqrt(2 / ev.weight_denominator))
         decision = decide_from_evaluation(ev, fit, 0.36, Z95)
         assert decision.threshold == threshold
         assert decision.accepted == (ev.sigma2_hat <= threshold)
@@ -80,7 +112,7 @@ class TestDecide:
         for x in np.linspace(-2, 2, 21):
             d = decide(fit, [x], AbstentionConfig(lam=0.36, beta=0.5))
             ev = d.eval
-            if ev.p_hat < density_floor(fit):
+            if ev.weight_denominator < 4 * fit.kernel.a:
                 assert d.reason is Reason.LOW_DENSITY
             else:
                 assert d.threshold == 0.36
@@ -106,7 +138,7 @@ class TestDecide:
         # five copies of the equidistant pair: gate passes, sigma2_hat = 1
         fit = make_fit([[-1.0]] * 5 + [[1.0]] * 5, [0.0] * 5 + [2.0] * 5)
         ev = evaluate_point(fit, [0.0])
-        assert ev.p_hat >= density_floor(fit)
+        assert ev.weight_denominator >= 4 * fit.kernel.a
         d = decide_from_evaluation(ev, fit, ev.sigma2_hat, 0.0)
         assert d.threshold == ev.sigma2_hat
         assert d.accepted
@@ -119,7 +151,7 @@ class TestDecide:
         fit = make_fit([[0.0], [0.05], [-0.05]], [0.0, 1.0, -1.0], h=0.3)
         cfg = AbstentionConfig(lam=0.36, beta=0.001)
         d = decide(fit, [0.0], cfg)
-        if d.eval.p_hat >= density_floor(fit) and d.threshold < 0:
+        if d.eval.weight_denominator >= 4 * fit.kernel.a and d.threshold < 0:
             assert d.reason is Reason.VARIANCE_TEST_FAILED
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -150,7 +182,7 @@ class TestPluginEquivalence:
         x = [float(rng.uniform(-3, 3))]
         lam = float(rng.uniform(0.05, 2.0))
         a = decide(fit, x, AbstentionConfig(lam=lam, beta=0.5))
-        gate = a.eval.p_hat >= density_floor(fit)
+        gate = a.eval.weight_denominator >= 4 * fit.kernel.a
         assert a.accepted == (gate and a.eval.sigma2_hat <= lam)
         assert (a.reason is Reason.LOW_DENSITY) == (not gate)
         assert a.threshold == lam
@@ -196,7 +228,7 @@ class TestMonotonicity:
             train=Dataset(x=fit.train.x, y=rng.permutation(fit.train.y)),
             kernel=fit.kernel, h=fit.h)
         redone = decide(shuffled, x, cfg)
-        gate_fails = original.eval.p_hat < density_floor(fit)
+        gate_fails = original.eval.weight_denominator < 4 * fit.kernel.a
         assert (original.reason is Reason.LOW_DENSITY) == gate_fails
         assert (redone.reason is Reason.LOW_DENSITY) == gate_fails
 
@@ -244,3 +276,52 @@ class TestDecideBatch:
         assert low_density.tolist() == [True, False, True]
         assert not accepted[0] and not accepted[2]
         assert np.isnan(threshold).tolist() == [True, False, True]
+
+
+class TestMassForm:
+    """decide_batch reads the kernel mass; the paper states the rule on p_hat.
+
+    n h^d p_hat(x) is the kernel mass, so the two forms are equal in real
+    arithmetic; in floating point the reasons must match and the thresholds
+    may differ only in their last bits.
+    """
+
+    @pytest.mark.parametrize("kind,d,seed", [("gaussian", 1, 11),
+                                             ("gaussian", 5, 12),
+                                             ("epanechnikov", 1, 13)])
+    def test_matches_the_p_hat_form(self, kind, d, seed):
+        rng = np.random.default_rng(seed)
+        kernel = kernel_spec(kind, d)
+        for _ in range(20):
+            n = int(rng.integers(5, 300))
+            fit = FitState(train=Dataset(x=rng.normal(size=(n, d)),
+                                         y=rng.normal(size=n)),
+                           kernel=kernel, h=float(rng.uniform(0.1, 1.5)))
+            # near queries, and far ones whose mass is exactly zero
+            near = rng.normal(scale=1.5, size=(40, d))
+            far = np.vstack([np.full(d, 100.0), np.full(d, -1e3)])
+            ev = evaluate_batch(fit, np.vstack([near, far]))
+            assert np.all(ev.weight_denominator[-2:] == 0.0)
+            volume = n * fit.h ** d
+            floor = 4 * kernel.a / volume
+            for lam, z in [(0.36, 0.0), (0.36, Z95), (1.5, 2.5)]:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    p_threshold = lam * (1 - z * kernel.l2_norm
+                                         * np.sqrt(2 / (volume * ev.p_hat)))
+                p_threshold[ev.p_hat == 0] = np.nan
+                p_reason = np.where(ev.p_hat < floor, "low",
+                                    np.where(ev.sigma2_hat <= p_threshold,
+                                             "accepted", "variance"))
+                accepted, low_density, threshold = decide_batch(
+                    ev, fit, lam, z)
+                reason = np.where(low_density, "low",
+                                  np.where(accepted, "accepted", "variance"))
+                assert reason.tolist() == p_reason.tolist()
+                assert np.array_equal(np.isnan(threshold),
+                                      np.isnan(p_threshold))
+                ok = ~np.isnan(threshold)
+                # ulps of the larger of lam and |threshold|, the scale of
+                # the subtraction that forms it
+                scale = np.maximum(lam, np.abs(p_threshold[ok]))
+                assert np.all(np.abs(threshold[ok] - p_threshold[ok])
+                              <= 4 * np.spacing(scale))

@@ -18,7 +18,6 @@ from selreg import (AbstentionConfig, Dataset, FitState,
                     monte_carlo_expected_excess, oracle_risk,
                     pointwise_excess)
 from selreg import mean_quadratic, sd_sigmoid
-from selreg.abstention import density_floor
 from selreg.data import airfoil_like_spec
 from selreg.estimators import loocv_bandwidth
 from selreg.experiments import HPolicy, run_scenario
@@ -91,7 +90,7 @@ def test_criterion_03_plugin_reduction():
             x = [float(rng.uniform(-3, 3))]
             lam = float(rng.uniform(0.05, 1.5))
             a = decide(fit, x, AbstentionConfig(lam=lam, beta=0.5))
-            gate = a.eval.p_hat >= density_floor(fit)
+            gate = a.eval.weight_denominator >= 4 * fit.kernel.a
             plugin_accepts = gate and a.eval.sigma2_hat <= lam
             assert (a.verdict is Verdict.ACCEPT) == plugin_accepts
             assert (a.reason is Reason.LOW_DENSITY) == (not gate)

@@ -271,6 +271,20 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError):
             evaluate_batch(fit, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_rejects_nonfinite_rows(self, bad):
+        # unchecked, the row would come back as NaN estimates with a NaN
+        # or zero mass, and the rule would give it a reason
+        fit = make_fit(np.zeros((3, 2)), [1.0, 2.0, 3.0],
+                       kernel=kernel_spec("gaussian", 2))
+        queries = np.zeros((4, 2))
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"query coordinates must be finite, got {[0.0, bad]}")):
+            evaluate_batch(fit, queries)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_point(fit, queries[2])
+
 
 def loocv_oracle(data, kernel, grid):
     """Brute-force LOO-CV scores, one per grid h in grid order: refit on each
@@ -584,9 +598,13 @@ class TestDatasetValidation:
 
     def test_fit_validation(self, gauss1d):
         data = Dataset(x=[[1.0]], y=[2.0])
-        for h in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                FitState(train=data, kernel=gauss1d, h=h)
+        for h in (0.0, -1.0, np.inf, np.nan):
+            # a numpy scalar reads as a float, not as 'np.float64(nan)'
+            for value in (float(h), np.float64(h)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"bandwidth must be a positive finite real, "
+                        f"got {float(h)!r}")):
+                    FitState(train=data, kernel=gauss1d, h=value)
         with pytest.raises(ValueError):
             FitState(train=Dataset(x=[[1.0, 2.0]], y=[0.0]),
                      kernel=gauss1d, h=1.0)
@@ -598,7 +616,7 @@ class TestDatasetValidation:
                                            (1e70, "overflows")])
     def test_fit_rejects_h_to_the_d_out_of_range(self, h, problem):
         # h is fine at d = 1; at d = 5, h ** d is 0, subnormal or beyond the
-        # floats, and the density estimate and its floor divide by it
+        # floats, and the density estimate divides by it
         FitState(train=Dataset(x=[[1.0]], y=[2.0]),
                  kernel=kernel_spec("gaussian", 1), h=h)
         data = Dataset(x=np.zeros((1, 5)), y=[2.0])
