@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FitState, PointEvaluation, evaluate_point
+from .estimators import (_SMALLEST_NORMAL, FitState, PointEvaluation,
+                         evaluate_point)
 from .normal import normal_quantile
 
 
@@ -83,13 +84,14 @@ def decide_batch(ev: PointEvaluation, fit: FitState, lam: float, z: float):
 
     Returns the arrays (accepted, low_density, threshold), shaped like
     ev.weight_denominator, so that sweeps over (lam, z) reuse one
-    evaluation. Zero kernel mass fails the gate, with a NaN threshold; a
+    evaluation. A mass below the smallest normal float (zero, or subnormal,
+    where 2 / m overflows) fails the gate, with a NaN threshold; a
     non-positive threshold cannot be met (sigma2_hat >= 0). lam = 0 is
     allowed here (threshold 0) for the coverage sweep's leftmost cell.
     """
     mass = np.asarray(ev.weight_denominator, dtype=float)
     ratio = np.divide(2.0, mass, out=np.full(mass.shape, np.nan),
-                      where=mass > 0.0)
+                      where=mass >= _SMALLEST_NORMAL)
     threshold = lam * (1.0 - z * fit.kernel.l2_norm * np.sqrt(ratio))
     low_density = mass < 4.0 * fit.kernel.a
     return ~low_density & (ev.sigma2_hat <= threshold), low_density, threshold

@@ -235,36 +235,30 @@ def covariate_shift_split(data: Dataset, split: ShiftSplit) -> tuple[Dataset, Da
 class Scaler:
     """Per-column affine feature scaling fit on a training set.
 
-    Columns flagged constant pass through untouched in both directions.
+    A constant column gets mean 0 and scale 1: it passes through untouched.
     """
 
     mean: np.ndarray
     scale: np.ndarray
-    constant: np.ndarray
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.scale + self.mean
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler]:
     """Zero-mean unit-variance feature scaling fit on train, applied to both.
 
     Responses are left untouched. Zero-variance columns are passed through
-    unchanged and flagged in the scaler.
+    unchanged.
     """
     if train.n < 2:
         raise ValueError("standardization needs at least 2 training rows")
     if train.d != test.d:
         raise ValueError("train and test dimension mismatch")
-    mean = train.x.mean(axis=0)
     sd = train.x.std(axis=0, ddof=1)
     constant = sd == 0.0
-    mean = np.where(constant, 0.0, mean)
-    scale = np.where(constant, 1.0, sd)
-    scaler = Scaler(mean=mean, scale=scale, constant=constant)
+    scaler = Scaler(mean=np.where(constant, 0.0, train.x.mean(axis=0)),
+                    scale=np.where(constant, 1.0, sd))
     return (Dataset(x=scaler.transform(train.x), y=train.y),
             Dataset(x=scaler.transform(test.x), y=test.y),
             scaler)

@@ -1,21 +1,19 @@
 """Nadaraya-Watson estimators of mean, variance and covariate density.
 
 All estimators evaluate against a frozen FitState (training data + kernel +
-bandwidth). ``evaluate_batch`` is the one evaluation path: it scores m query
-points in one pass over the training data, in row blocks of
-max(1, _BLOCK // (n * d)) query points, so that a block holds at most
-_BLOCK coordinate differences. Within a block each query row gets its own
-kernel row, weight sum and dot products, so its estimates are the same bits
-whatever it is batched with; ``evaluate_point`` is the one-point view.
-Evaluation is exact brute force, O(n) per query point; at desk scale
-(n <= 2e4) nothing faster is needed. LOO-CV bandwidth selection works on
-row blocks of the same budget of kernel values: d difference passes give a
-block's squared distances, then each grid h takes two elementwise passes
-and two matrix products. When the kernel matrix takes more than one block
-(n > 362), the grid is split across one thread per CPU of the process's
-affinity mask, each with its own block buffers; every score is computed by
-the same operations whatever the thread count, so it has the same bits.
-The argmin breaks near-ties (relative 1e-9) towards the smaller h.
+bandwidth). Pairwise work runs in row blocks of max(1, _BLOCK // n) rows, at
+most _BLOCK kernel values, and one routine, ``_sq_dists``, forms a block's
+squared distances: d subtract-square-add passes, in coordinate order; h
+enters after it, as 1 / h^2. ``evaluate_batch`` is the one evaluation path,
+exact brute force, O(n) per query point; at desk scale (n <= 2e4) nothing
+faster is needed. Each query row gets its own kernel row, weight sum and dot
+products, so its estimates are the same bits whatever it is batched with;
+``evaluate_point`` is the one-point view. LOO-CV forms a block's distances
+once, then each grid h takes two elementwise passes and two matrix products.
+When the kernel matrix takes more than one block (n > 362), the grid is
+split across one thread per CPU of the process's affinity mask; every score
+is computed by the same operations whatever the thread count, so it has the
+same bits. The argmin breaks near-ties (relative 1e-9) towards the smaller h.
 """
 
 from __future__ import annotations
@@ -30,15 +28,16 @@ import numpy as np
 
 from .kernels import KernelSpec, eval_sq, shape_sq
 
-# Values per row block of pairwise work: kernel values in LOO-CV
-# (max(1, _BLOCK // n) rows), coordinate differences in evaluate_batch
-# (max(1, _BLOCK // (n * d)) query rows). 2^17 float64 values are 1 MB, so
-# every elementwise pass over a block stays in a core's L2 cache.
+# Kernel values per row block of pairwise work, LOO-CV's and evaluate_batch's:
+# max(1, _BLOCK // n) rows of n. 2^17 float64 values are 1 MB, so every
+# elementwise pass over a block stays in a core's L2 cache.
 _BLOCK = 1 << 17
 
 # LOO-CV scores within this relative distance of the minimum tie; the
 # smallest tied h wins
 _TIE_RTOL = 1e-9
+
+_GRID_SIZE = 30  # bandwidths in the default LOO-CV grid
 
 _SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
@@ -129,20 +128,25 @@ class PointEvaluation:
     weight_denominator: float
 
 
-def _query_point(fit: FitState, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (fit.train.d,):
-        raise ValueError(f"query has shape {x.shape}, expected ({fit.train.d},)")
-    return x
+def _sq_dists(a, b, out=None, tmp=None):
+    """Squared distances sum_c (a_ic - b_kc)^2 between the rows of a and b,
+    added in coordinate order. Written into ``out``, with ``tmp`` holding the
+    differences, when given; new arrays take the same operations and bits."""
+    out = np.subtract(a[:, 0, None], b[None, :, 0], out=out)
+    np.square(out, out=out)
+    for c in range(1, a.shape[1]):
+        tmp = np.subtract(a[:, c, None], b[None, :, c], out=tmp)
+        np.add(out, np.square(tmp, out=tmp), out=out)
+    return out
 
 
 def evaluate_batch(fit: FitState, X) -> PointEvaluation:
     """Mean, variance and density estimates at each row of X.
 
     X is an (m, d) matrix of finite reals; the fields of the result are
-    length-m arrays. Rows are processed in blocks of at most _BLOCK
-    coordinate differences (at least one row), and every row is computed on
-    its own, so a row does not depend on the rows batched with it.
+    length-m arrays. Rows go in blocks of max(1, _BLOCK // n), with squared
+    distances from ``_sq_dists`` as in LOO-CV, and each row is computed on
+    its own, so it does not depend on the rows batched with it.
     """
     train, h = fit.train, fit.h
     X = np.asarray(X, dtype=float)
@@ -152,16 +156,17 @@ def evaluate_batch(fit: FitState, X) -> PointEvaluation:
         bad = X[~np.isfinite(X).all(axis=1)][0]
         raise ValueError(f"query coordinates must be finite, got {bad.tolist()}")
     f_hat, sigma2_hat, denom = np.empty((3, X.shape[0]))
-    step = max(1, _BLOCK // (train.n * train.d))
+    step = max(1, _BLOCK // train.n)
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, lo + step)
-        diff = (train.x - X[rows, None, :]) / h
-        vals = eval_sq(fit.kernel, np.einsum("rij,rij->ri", diff, diff))
+        sq = _sq_dists(X[rows], train.x)
+        vals = eval_sq(fit.kernel, np.multiply(sq, 1.0 / (h * h), out=sq),
+                       out=sq)
         denom[rows] = vals.sum(axis=1)
         # a zero-mass row divides 0 by 0, so its weights, f_hat and
         # sigma2_hat are NaN
         with np.errstate(invalid="ignore"):
-            w = vals / denom[rows, None]
+            w = np.divide(vals, denom[rows, None], out=vals)
         # vecdot takes one dot product per row, the sums of a 1-D ``w @ y``
         f_hat[rows] = np.vecdot(w, train.y)
         sigma2_hat[rows] = np.maximum(
@@ -173,17 +178,20 @@ def evaluate_batch(fit: FitState, X) -> PointEvaluation:
 
 def evaluate_point(fit: FitState, x) -> PointEvaluation:
     """Scalar view of evaluate_batch at the single query point x."""
-    ev = evaluate_batch(fit, _query_point(fit, x)[None, :])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (fit.train.d,):
+        raise ValueError(f"query has shape {x.shape}, expected ({fit.train.d},)")
+    ev = evaluate_batch(fit, x[None, :])
     return PointEvaluation(float(ev.f_hat[0]), float(ev.sigma2_hat[0]),
                            float(ev.p_hat[0]), float(ev.weight_denominator[0]))
 
 
-def default_bandwidth_grid(data: Dataset, num: int = 30) -> np.ndarray:
-    """Log-spaced bandwidth grid on [0.05, 1.0] x mean coordinate range."""
+def default_bandwidth_grid(data: Dataset) -> np.ndarray:
+    """_GRID_SIZE log-spaced bandwidths on [0.05, 1] x mean coordinate range."""
     spread = float(np.mean(data.x.max(axis=0) - data.x.min(axis=0)))
     if spread <= 0.0:
         spread = 1.0
-    return np.geomspace(0.05 * spread, spread, num)
+    return np.geomspace(0.05 * spread, spread, _GRID_SIZE)
 
 
 def _cpu_count() -> int:
@@ -200,8 +208,8 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     The scores follow the order of ``grid``. The kernel matrix is symmetric,
     so each pair is evaluated once: a block holds rows lo:hi and only the
     columns lo:n, with the diagonal distance set to +inf (K = 0 there). The
-    block's squared distances are direct differences, sum_c (x_ic - x_kc)^2
-    added in coordinate order. Per grid h the block is overwritten with the
+    block's squared distances come from ``_sq_dists``, written into the
+    thread's buffers. Per grid h the block is overwritten with the
     shape g(||x_i - x_k||^2 / h^2) (one multiply, one exp), ``block @ K(0)
     [1, y]`` gives those rows' kernel mass and weighted-y sums, and the
     transposed block adds the mirrored sums of columns hi:n. A row has zero
@@ -229,8 +237,6 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
         raise ValueError("LOO-CV needs at least 3 samples")
 
     y = data.y
-    # one row per coordinate, so every difference pass reads contiguous data
-    xt = np.ascontiguousarray(data.x.T)
     # K(0) scales the operand rather than being dropped, so each product
     # K(0) * g, and a zero mass, underflows as the kernel value itself does
     peak_y = kernel.peak * np.column_stack([np.ones(n), y])
@@ -252,11 +258,7 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
             sq = sq_buf[:size].reshape(hi - lo, n - lo)
             vals = buf[:size].reshape(sq.shape)
             # squared distances of the block, shared by the thread's h
-            np.subtract(xt[0, lo:hi, None], xt[0, None, lo:], out=sq)
-            np.square(sq, out=sq)
-            for c in range(1, xt.shape[0]):
-                np.subtract(xt[c, lo:hi, None], xt[c, None, lo:], out=vals)
-                np.add(sq, np.square(vals, out=vals), out=sq)
+            _sq_dists(data.x[lo:hi], data.x[lo:], out=sq, tmp=vals)
             diag = np.arange(hi - lo)
             sq[diag, diag] = np.inf
             for j in range(first, grid.size, workers):

@@ -84,6 +84,30 @@ class TestThresholdFormula:
         assert math.isnan(d.threshold)
         assert d.reason is Reason.LOW_DENSITY
 
+    @pytest.mark.parametrize("z", [Z95, 0.0])
+    def test_subnormal_mass_gives_nan(self, z):
+        # 2 / m overflows below the smallest normal mass; the suite turns
+        # the RuntimeWarning that would give into an error
+        tiny = np.finfo(float).smallest_normal
+        below = decide_from_evaluation(at_mass(np.nextafter(tiny, 0)),
+                                       GAUSS_FIT, 0.36, z)
+        at = decide_from_evaluation(at_mass(tiny), GAUSS_FIT, 0.36, z)
+        assert math.isnan(below.threshold)
+        assert math.isfinite(at.threshold)
+        assert below.reason is at.reason is Reason.LOW_DENSITY
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5])
+    def test_far_queries_with_subnormal_mass(self, beta):
+        # 38 h and more from the data the Gaussian mass is 2e-311 down to
+        # 3e-321: low density, no threshold, and no warning
+        fit = make_fit([[0.0], [0.1], [0.2]], [1.0, 2.0, 3.0], h=1.0)
+        cfg = AbstentionConfig(lam=0.36, beta=beta)
+        for x in (38.0, 38.3, 38.6):
+            d = decide(fit, [x], cfg)
+            assert 0.0 < d.eval.weight_denominator < 2.3e-311
+            assert d.reason is Reason.LOW_DENSITY and not d.accepted
+            assert math.isnan(d.threshold)
+
     def test_gate_is_four_a_on_the_mass(self):
         four_a = 4 * GAUSS_FIT.kernel.a
         below = decide_from_evaluation(at_mass(np.nextafter(four_a, 0)),

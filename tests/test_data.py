@@ -265,22 +265,12 @@ class TestStandardize:
         np.testing.assert_array_equal(strain.y, train.y)
         np.testing.assert_array_equal(stest.y, test.y)
 
-    def test_roundtrip_through_inverse(self):
-        rng = np.random.default_rng(6)
-        train = Dataset(x=rng.normal(size=(30, 2)), y=rng.normal(size=30))
-        test = Dataset(x=rng.normal(size=(10, 2)), y=rng.normal(size=10))
-        _, _, scaler = standardize(train, test)
-        twice = scaler.transform(scaler.transform(train.x))
-        assert not np.allclose(twice, train.x)
-        back = scaler.inverse(scaler.transform(train.x))
-        np.testing.assert_allclose(back, train.x, atol=1e-10)
-
     def test_constant_column_passthrough(self):
         x = np.column_stack([np.full(20, 7.0), np.arange(20.0)])
         train = Dataset(x=x, y=np.zeros(20))
         test = Dataset(x=x[:5], y=np.zeros(5))
         strain, stest, scaler = standardize(train, test)
-        assert scaler.constant.tolist() == [True, False]
+        assert scaler.mean[0] == 0.0 and scaler.scale[0] == 1.0
         np.testing.assert_array_equal(strain.x[:, 0], x[:, 0])
         np.testing.assert_array_equal(stest.x[:, 0], x[:5, 0])
 

@@ -11,9 +11,9 @@ from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
                     generate_synthetic, kernel_spec, mean_quadratic)
 from selreg.data import derive_seed
 from selreg import estimators
-from selreg.estimators import (_BLOCK, _loocv_scores, default_bandwidth_grid,
-                               evaluate_batch, evaluate_point,
-                               select_bandwidth_loocv)
+from selreg.estimators import (_BLOCK, _loocv_scores, _sq_dists,
+                               default_bandwidth_grid, evaluate_batch,
+                               evaluate_point, select_bandwidth_loocv)
 from selreg.kernels import eval_sq, shape_sq
 
 from conftest import make_fit
@@ -38,13 +38,29 @@ def kernel_row_oracle(fit, x):
 def scalar_reference(fit, x):
     """The one-point arithmetic of evaluate_batch, written as a 1-D loop body:
     batching must not change a bit of it."""
-    diff = (fit.train.x - np.asarray(x, dtype=float)) / fit.h
-    vals = eval_sq(fit.kernel, np.einsum("ij,ij->i", diff, diff))
+    x = np.asarray(x, dtype=float)
+    sq = np.square(x[0] - fit.train.x[:, 0])
+    for c in range(1, fit.train.d):
+        sq = sq + np.square(x[c] - fit.train.x[:, c])
+    vals = eval_sq(fit.kernel, sq * (1.0 / (fit.h * fit.h)))
     denom = float(vals.sum())
     w = vals / denom
     f = float(w @ fit.train.y)
     s2 = max(float(w @ np.square(fit.train.y - f)), 0.0)
     return f, s2, denom / (fit.train.n * fit.h ** fit.train.d), denom
+
+
+def sq_dists_loop(a, b):
+    """Per-pair squared distances, the squared coordinate differences added
+    in coordinate order."""
+    out = np.empty((len(a), len(b)))
+    for i, p in enumerate(a.tolist()):
+        for k, q in enumerate(b.tolist()):
+            total = 0.0
+            for pc, qc in zip(p, q):
+                total += (pc - qc) * (pc - qc)
+            out[i, k] = total
+    return out
 
 
 def weights_at(fit, x):
@@ -239,8 +255,8 @@ class TestEvaluatePoint:
         rng = np.random.default_rng(40 + d)
         fit = make_fit(rng.normal(size=(37, d)), rng.normal(size=37), h=0.6,
                        kernel=kernel_spec("gaussian", d))
-        # more than one block of _BLOCK coordinate differences
-        queries = rng.normal(size=(_BLOCK // (37 * d) + 7, d))
+        # more than one block of max(1, _BLOCK // n) query rows
+        queries = rng.normal(size=(_BLOCK // 37 + 7, d))
         batch = evaluate_batch(fit, queries)
         for i, x in enumerate(queries):
             ev = evaluate_point(fit, x)
@@ -284,6 +300,34 @@ class TestEvaluatePoint:
             evaluate_batch(fit, queries)
         with pytest.raises(ValueError, match="finite"):
             evaluate_point(fit, queries[2])
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_a_per_pair_loop_bit_for_bit(self, d):
+        rng = np.random.default_rng(80 + d)
+        a = rng.normal(size=(13, d))
+        b = rng.normal(scale=3.0, size=(11, d))
+        expect = sq_dists_loop(a, b)
+        assert np.array_equal(_sq_dists(a, b), expect)
+        out, tmp = np.full((2, 13, 11), np.nan)
+        assert _sq_dists(a, b, out=out, tmp=tmp) is out
+        assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_loocv_block_views_bit_for_bit(self, d):
+        # LOO-CV's blocks: rows lo:hi of the read-only sample matrix against
+        # its rows lo:n, written into the leading part of two flat buffers
+        x = Dataset(x=np.random.default_rng(90 + d).uniform(-2, 2, (20, d))).x
+        step = 6
+        sq_buf, buf = np.full((2, step * 20), np.nan)
+        for lo in range(0, 20, step):
+            hi = min(lo + step, 20)
+            size = (hi - lo) * (20 - lo)
+            sq = sq_buf[:size].reshape(hi - lo, 20 - lo)
+            _sq_dists(x[lo:hi], x[lo:], out=sq,
+                      tmp=buf[:size].reshape(sq.shape))
+            assert np.array_equal(sq, sq_dists_loop(x[lo:hi], x[lo:]))
 
 
 def loocv_oracle(data, kernel, grid):
