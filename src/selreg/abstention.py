@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (_SMALLEST_NORMAL, FitState, PointEvaluation,
-                         evaluate_point)
+from .estimators import FitState, PointEvaluation, evaluate_point
+from .kernels import _SMALLEST_NORMAL
 from .normal import normal_quantile
 
 
@@ -84,8 +84,9 @@ def decide_batch(ev: PointEvaluation, fit: FitState, lam: float, z: float):
 
     Returns the arrays (accepted, low_density, threshold), shaped like
     ev.weight_denominator, so that sweeps over (lam, z) reuse one
-    evaluation. A mass below the smallest normal float (zero, or subnormal,
-    where 2 / m overflows) fails the gate, with a NaN threshold; a
+    evaluation. A mass below the smallest normal float fails the gate, with
+    a NaN threshold: evaluate_batch gives such masses as exactly 0, and a
+    subnormal one given by hand, where 2 / m overflows, is treated alike; a
     non-positive threshold cannot be met (sigma2_hat >= 0). lam = 0 is
     allowed here (threshold 0) for the coverage sweep's leftmost cell.
     """

@@ -8,12 +8,14 @@ enters after it, as 1 / h^2. ``evaluate_batch`` is the one evaluation path,
 exact brute force, O(n) per query point; at desk scale (n <= 2e4) nothing
 faster is needed. Each query row gets its own kernel row, weight sum and dot
 products, so its estimates are the same bits whatever it is batched with;
-``evaluate_point`` is the one-point view. LOO-CV forms a block's distances
-once, then each grid h takes two elementwise passes and two matrix products.
-When the kernel matrix takes more than one block (n > 362), the grid is
-split across one thread per CPU of the process's affinity mask; every score
-is computed by the same operations whatever the thread count, so it has the
-same bits. The argmin breaks near-ties (relative 1e-9) towards the smaller h.
+``evaluate_point`` is the one-point view. LOO-CV forms each block's
+distances once per call, then each grid h takes two elementwise passes and
+two matrix products. When the kernel matrix takes more than one block
+(n > 362), its triangle is cut into _PARTS contiguous parts of about equal
+work, each run by its own thread (at most one per CPU of the process's
+affinity mask) with its own sums, and the parts' sums are added in a fixed
+order, so every score has the same bits whatever the thread count. The
+argmin breaks near-ties (relative 1e-9) towards the smaller h.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_sq, shape_sq
+from .kernels import _SMALLEST_NORMAL, KernelSpec, eval_sq, shape_sq
 
 # Kernel values per row block of pairwise work, LOO-CV's and evaluate_batch's:
 # max(1, _BLOCK // n) rows of n. 2^17 float64 values are 1 MB, so every
@@ -39,7 +41,9 @@ _TIE_RTOL = 1e-9
 
 _GRID_SIZE = 30  # bandwidths in the default LOO-CV grid
 
-_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+# Contiguous parts of LOO-CV's block triangle, one thread each. A constant,
+# not the CPU count, so the order in which sums are added never changes.
+_PARTS = 2
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,7 @@ def evaluate_batch(fit: FitState, X) -> PointEvaluation:
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, lo + step)
         sq = _sq_dists(X[rows], train.x)
-        vals = eval_sq(fit.kernel, np.multiply(sq, 1.0 / (h * h), out=sq),
-                       out=sq)
+        vals = eval_sq(fit.kernel, sq, 1.0 / (h * h), out=sq)
         denom[rows] = vals.sum(axis=1)
         # a zero-mass row divides 0 by 0, so its weights, f_hat and
         # sigma2_hat are NaN
@@ -202,28 +205,45 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _loocv_parts(n: int, step: int) -> list:
+    """LOO-CV's row blocks (lo, hi) of at most ``step`` rows, in _PARTS lists.
+
+    Rows lo:hi cost about (hi - lo) * (n - lo) kernel values, so the rows are
+    cut where the triangle's work reaches p / _PARTS, at about
+    n * (1 - sqrt(1 - p / _PARTS)), and each part is cut into blocks. A
+    triangle that fits in one block is one part.
+    """
+    if step >= n:
+        return [[(0, n)]]
+    cuts = [round(n * (1.0 - math.sqrt(1.0 - p / _PARTS)))
+            for p in range(_PARTS)] + [n]
+    return [[(lo, min(lo + step, end)) for lo in range(start, end, step)]
+            for start, end in zip(cuts, cuts[1:]) if start < end]
+
+
 def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     """Leave-one-out squared error sum_i (y_i - f_{-i}(x_i))^2 for each h.
 
     The scores follow the order of ``grid``. The kernel matrix is symmetric,
     so each pair is evaluated once: a block holds rows lo:hi and only the
-    columns lo:n, with the diagonal distance set to +inf (K = 0 there). The
-    block's squared distances come from ``_sq_dists``, written into the
-    thread's buffers. Per grid h the block is overwritten with the
-    shape g(||x_i - x_k||^2 / h^2) (one multiply, one exp), ``block @ K(0)
-    [1, y]`` gives those rows' kernel mass and weighted-y sums, and the
-    transposed block adds the mirrored sums of columns hi:n. A row has zero
-    mass when every product K(0) * g is exactly 0 (outside the support, or
-    by underflow).
+    columns lo:n. Its squared distances come from ``_sq_dists``, once per
+    call, and their maximum is taken before the diagonal distance is set to
+    +inf (K = 0 there), so ``shape_sq`` knows for every h whether anything
+    can fall below the kernel's floor. Per grid h the block is overwritten
+    with the shape g(||x_i - x_k||^2 / h^2), ``block @ K(0) [1, y]`` gives
+    those rows' kernel mass and weighted-y sums, and the transposed block
+    adds the mirrored sums of columns hi:n. A row has zero mass when every
+    product K(0) * g is 0 (outside the support, or below the floor); a
+    nonzero mass is at least the smallest normal float.
 
-    When the triangle takes more than one block, the grid is split across
-    one thread per CPU of the process (at most one per h): thread t, the
-    calling thread being t = 0, runs the whole block loop for the grid
-    indices t, t + T, t + 2T, ... with its own block buffers and writes only
-    their rows of the sums. Each score is thus computed by the same
-    operations in the same order whatever T is, so it has the same bits for
-    any CPU count. An exception in any thread is raised here once every
-    thread has ended.
+    The blocks are grouped in the contiguous parts of ``_loocv_parts``. Part
+    p accumulates into its own sums, which the threads never share: with T
+    threads (one per CPU of the process, at most one per part), thread t,
+    the calling thread being t = 0, runs parts t, t + T, ... with its own
+    block buffers. The parts' sums are then added in part order, so each
+    score is computed by the same operations whatever T is and has the same
+    bits for any CPU count. An exception in any thread is raised here once
+    every thread has ended.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -238,34 +258,35 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
 
     y = data.y
     # K(0) scales the operand rather than being dropped, so each product
-    # K(0) * g, and a zero mass, underflows as the kernel value itself does
+    # K(0) * g is the kernel value, 0 or at least the smallest normal float
     peak_y = kernel.peak * np.column_stack([np.ones(n), y])
-    # sums[j, i]: kernel mass and kernel-weighted y of row i without sample i,
-    # at grid[j]
-    sums = np.zeros((grid.size, n, 2))
     step = min(n, max(1, _BLOCK // n))
-    # one block holds the whole triangle: too little work to share
-    workers = 1 if step >= n else min(grid.size, _cpu_count())
+    parts = _loocv_parts(n, step)
+    # part_sums[p, j, i]: kernel mass and kernel-weighted y of row i without
+    # sample i, at grid[j], from the blocks of part p
+    part_sums = np.zeros((len(parts), grid.size, n, 2))
+    workers = min(len(parts), _cpu_count())
     failed = []
 
     def accumulate(first: int) -> None:
         sq_buf, buf = np.empty((2, step * n))
-        for lo in range(0, n, step):
-            if failed:  # another thread raised, so the call fails anyway
-                return
-            hi = min(lo + step, n)
-            size = (hi - lo) * (n - lo)
-            sq = sq_buf[:size].reshape(hi - lo, n - lo)
-            vals = buf[:size].reshape(sq.shape)
-            # squared distances of the block, shared by the thread's h
-            _sq_dists(data.x[lo:hi], data.x[lo:], out=sq, tmp=vals)
-            diag = np.arange(hi - lo)
-            sq[diag, diag] = np.inf
-            for j in range(first, grid.size, workers):
-                h = grid[j]
-                shape_sq(kernel, sq, 1.0 / (h * h), out=vals)
-                sums[j, lo:hi] += vals @ peak_y[lo:]
-                sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
+        for p in range(first, len(parts), workers):
+            sums = part_sums[p]
+            for lo, hi in parts[p]:
+                if failed:  # another thread raised, so the call fails anyway
+                    return
+                size = (hi - lo) * (n - lo)
+                sq = sq_buf[:size].reshape(hi - lo, n - lo)
+                vals = buf[:size].reshape(sq.shape)
+                _sq_dists(data.x[lo:hi], data.x[lo:], out=sq, tmp=vals)
+                sq_max = float(np.maximum.reduce(sq, axis=None))
+                diag = np.arange(hi - lo)
+                sq[diag, diag] = np.inf
+                for j, h in enumerate(grid.tolist()):
+                    shape_sq(kernel, sq, 1.0 / (h * h), out=vals,
+                             sq_max=sq_max)
+                    sums[j, lo:hi] += vals @ peak_y[lo:]
+                    sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
 
     def run(first: int) -> None:
         try:
@@ -286,6 +307,9 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     if failed:
         raise failed[0]
 
+    sums = part_sums[0]
+    for more in part_sums[1:]:
+        sums += more
     mass, weighted = sums[..., 0], sums[..., 1]
     # a held-out point with zero mass (every kernel value exactly 0) scores
     # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart,
@@ -319,14 +343,16 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     per block, with no matrix product; the per-h products take at most
     2^18 multiply-adds, a size a threaded BLAS such as OpenBLAS runs on the
     calling thread, so the threads here do not compete with BLAS threads.
-    Above one block (n > 362) the grid is split across T threads, one per
-    CPU of the process's affinity mask and at most one per h; each thread
-    recomputes every block's distances for its own h. The chosen h and
-    every score have the same bits for any T, so results do not depend on
-    the CPU count.
+    Each block's distances are formed once per call and serve every h.
+    Gaussian values whose product with K(0) would be subnormal are 0, and
+    blocks where none can be take no extra pass. Above one block (n > 362)
+    the triangle is cut into _PARTS = 2 parts of about equal work, each run
+    by one thread, so at most 2 CPUs work on one call whatever the CPU
+    count. The chosen h and every score have the same bits for any thread
+    count, so results do not depend on the CPU count.
     Memory: one block per thread (at most _BLOCK kernel values and as many
     squared distances, 2 MB) plus 2 * len(grid) * n floats of accumulated
-    sums.
+    sums per part.
     """
     ordered = np.sort(np.asarray(grid, dtype=float))
     scores = _loocv_scores(data, kernel, ordered)

@@ -98,13 +98,18 @@ class TestThresholdFormula:
 
     @pytest.mark.parametrize("beta", [0.05, 0.5])
     def test_far_queries_with_subnormal_mass(self, beta):
-        # 38 h and more from the data the Gaussian mass is 2e-311 down to
-        # 3e-321: low density, no threshold, and no warning
+        # 38 h and more from the data the textbook Gaussian mass is 2e-311
+        # down to 3e-321, made of subnormal kernel values; those are 0, so
+        # the mass is exactly 0: low density, no threshold, and no warning
+        # (the suite turns RuntimeWarnings into errors)
         fit = make_fit([[0.0], [0.1], [0.2]], [1.0, 2.0, 3.0], h=1.0)
         cfg = AbstentionConfig(lam=0.36, beta=beta)
         for x in (38.0, 38.3, 38.6):
+            textbook = fit.kernel.peak * np.exp(
+                -0.5 * np.square(x - fit.train.x[:, 0]))
+            assert 0.0 < textbook.sum() < 2.3e-311
             d = decide(fit, [x], cfg)
-            assert 0.0 < d.eval.weight_denominator < 2.3e-311
+            assert d.eval.weight_denominator == 0.0
             assert d.reason is Reason.LOW_DENSITY and not d.accepted
             assert math.isnan(d.threshold)
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
                     generate_synthetic, kernel_spec, mean_quadratic)
 from selreg.data import derive_seed
-from selreg import estimators
+from selreg import estimators, kernels
 from selreg.estimators import (_BLOCK, _loocv_scores, _sq_dists,
                                default_bandwidth_grid, evaluate_batch,
                                evaluate_point, select_bandwidth_loocv)
@@ -478,7 +479,7 @@ KERNEL_DIMS = [("gaussian", 1), ("gaussian", 2), ("gaussian", 5),
                ("epanechnikov", 1)]
 
 # Gaussian d = 2: exp(-0.5 * 38.57^2) is 2 ulps of the smallest subnormal,
-# and K(0) = 1 / (2 pi) times that rounds to 0
+# far below the kernel's floor, so the shape there is 0
 SUBNORMAL_GAP = 38.57
 
 # budgets of kernel values per LOO-CV block at n = 40: one block of 40 rows,
@@ -533,11 +534,11 @@ class TestLoocvBlocks:
         grid = [0.3, 0.6, 1.0]
         cluster = Dataset(x=np.delete(x, 17, axis=0), y=np.delete(y, 17))
         if gap == SUBNORMAL_GAP:
-            # at h = 1 some shapes are positive subnormals, but every
-            # product K(0) * g rounds to 0: zero mass all the same
-            shapes = shape_sq(kernel, np.sum((cluster.x - x[17]) ** 2, axis=1))
-            assert 0.0 < shapes.max() <= 3 * 2.0 ** -1074
-            assert not np.any(kernel.peak * shapes)
+            # at h = 1 some textbook shapes are positive subnormals; below
+            # the floor they are exactly 0, in LOO-CV and in evaluate_point
+            sq = np.sum((cluster.x - x[17]) ** 2, axis=1)
+            assert 0.0 < np.exp(-0.5 * sq).max() <= 3 * 2.0 ** -1074
+            assert not np.any(shape_sq(kernel, sq))
         for h in grid:
             assert evaluate_point(FitState(cluster, kernel, h),
                                   x[17]).weight_denominator == 0.0
@@ -555,7 +556,7 @@ class TestLoocvThreads:
         data, kernel, grid = loocv_case(kind, d)
         runs = []
         before = threading.active_count()
-        # 3 splits the 8 grid values unevenly; beyond len(grid) is capped
+        # one worker runs every part; more workers than parts are capped
         for workers in (1, 2, 3, grid.size + 3):
             monkeypatch.setattr(estimators, "_cpu_count", lambda w=workers: w)
             runs.append(_loocv_scores(data, kernel, grid))
@@ -568,19 +569,18 @@ class TestLoocvThreads:
         monkeypatch.setattr(estimators, "_BLOCK", 3 * 40)
         monkeypatch.setattr(estimators, "_cpu_count", lambda: workers)
         data, kernel, grid = loocv_case("gaussian", 1)
-        # the sorted grid's second h belongs to the first started thread
-        h = np.sort(grid)[1]
-        bad_scale = 1.0 / (h * h)
         raised_in = []
 
         class Boom(Exception):
             pass
 
-        def failing_shape_sq(kernel, sq, scale=1.0, out=None):
-            if scale == bad_scale:
+        def failing_shape_sq(kernel, sq, scale=1.0, out=None, sq_max=None):
+            # only the last block, rows lo:n, is square; it belongs to the
+            # last part, which the first started thread runs
+            if sq.shape[0] == sq.shape[1]:
                 raised_in.append(threading.current_thread())
                 raise Boom(scale)
-            return shape_sq(kernel, sq, scale, out)
+            return shape_sq(kernel, sq, scale, out, sq_max)
 
         monkeypatch.setattr(estimators, "shape_sq", failing_shape_sq)
         before = threading.active_count()
@@ -588,6 +588,51 @@ class TestLoocvThreads:
             select_bandwidth_loocv(data, kernel, grid)
         assert threading.active_count() == before
         assert raised_in and threading.main_thread() not in raised_in
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    def test_each_block_distances_are_formed_once(self, monkeypatch, budget):
+        monkeypatch.setattr(estimators, "_BLOCK", budget)
+        data, kernel, grid = loocv_case("gaussian", 5)
+        n, step = data.n, min(data.n, max(1, budget // data.n))
+        blocks = sum(map(len, estimators._loocv_parts(n, step)))
+        assert blocks <= -(-n // step) + estimators._PARTS - 1
+        for workers in (1, 2, 3, estimators._PARTS + 3):
+            monkeypatch.setattr(estimators, "_cpu_count", lambda w=workers: w)
+            rows = []
+
+            def counting(a, b, out=None, tmp=None):
+                rows.append((n - len(b), n - len(b) + len(a)))  # (lo, hi)
+                return _sq_dists(a, b, out, tmp)
+
+            monkeypatch.setattr(estimators, "_sq_dists", counting)
+            _loocv_scores(data, kernel, grid)
+            # one call per block, whatever the thread count: the calls'
+            # rows cover 0:n once, in blocks of at most step rows
+            assert len(rows) == blocks
+            rows.sort()
+            assert rows[0][0] == 0 and rows[-1][1] == n
+            assert all(hi == lo for (_, hi), (lo, _) in zip(rows, rows[1:]))
+            assert all(0 < hi - lo <= step for lo, hi in rows)
+
+    def test_many_parts_on_more_threads_than_cpus(self, monkeypatch):
+        # seven parts on seven threads, switching often: a thread writing
+        # into another part's sums would lose updates and change the scores
+        monkeypatch.setattr(estimators, "_BLOCK", 1)
+        monkeypatch.setattr(estimators, "_PARTS", 7)
+        data, kernel, grid = loocv_case("gaussian", 2)
+        assert len(estimators._loocv_parts(data.n, 1)) == 7
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
+        alone = _loocv_scores(data, kernel, grid)
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 7)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(_loocv_scores(data, kernel, grid), alone)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # at the default budget one block holds n = 362 rows, not 363
@@ -602,6 +647,62 @@ class TestLoocvThreads:
         data, kernel, grid = loocv_case("gaussian", 1, n=363)
         with pytest.raises(AssertionError, match="a thread was started"):
             _loocv_scores(data, kernel, grid)
+
+
+def plain_shape_sq(kernel, sq, scale=1.0, out=None, sq_max=None):
+    """The Gaussian shape as one multiply and one exp, with no floor."""
+    out = np.multiply(sq, -0.5 * scale, out=out)
+    return np.exp(out, out=out)
+
+
+def mc_shaped(n):
+    """n samples shaped like the Monte-Carlo runs: x uniform on [-2, 2]."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-2, 2, size=(n, 1))
+    return Dataset(x=x, y=x[:, 0] ** 2 / 4 + rng.normal(scale=0.5, size=n))
+
+
+class TestNoUnderflowPath:
+    """On Monte-Carlo-shaped inputs with the default grid no kernel value
+    comes near the floor: the guarded exp is never taken, and the bits are
+    one multiply and one exp."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the guarded exp was taken")
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_shapes_and_scores_are_the_plain_exp(self, monkeypatch, n):
+        data = mc_shaped(n)
+        grid = default_bandwidth_grid(data)
+        monkeypatch.setattr(kernels, "_exp_above_floor", self.refuse)
+        sq = _sq_dists(data.x, data.x)
+        for h in grid:
+            scale = 1.0 / (h * h)
+            assert shape_sq(GAUSS1, sq, scale).tobytes() == np.exp(
+                np.multiply(sq, -0.5 * scale)).tobytes()
+        scores = _loocv_scores(data, GAUSS1, grid)
+        monkeypatch.setattr(estimators, "shape_sq", plain_shape_sq)
+        assert scores.tobytes() == _loocv_scores(data, GAUSS1, grid).tobytes()
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_evaluations_are_the_plain_exp(self, monkeypatch, n):
+        data = mc_shaped(n)
+        queries = np.linspace(-2, 2, 81)[:, None]
+        monkeypatch.setattr(kernels, "_exp_above_floor", self.refuse)
+        for h in default_bandwidth_grid(data)[[0, -1]]:
+            fit = FitState(data, GAUSS1, float(h))
+            ev = evaluate_batch(fit, queries)
+            with monkeypatch.context() as plain:
+                plain.setattr(estimators, "eval_sq",
+                              lambda k, sq, scale=1.0, out=None: np.multiply(
+                                  k.peak, plain_shape_sq(k, sq, scale, out),
+                                  out=out))
+                expect = evaluate_batch(fit, queries)
+            for field in ("f_hat", "sigma2_hat", "p_hat",
+                          "weight_denominator"):
+                assert getattr(ev, field).tobytes() == \
+                    getattr(expect, field).tobytes()
 
 
 class TestConsistencySmoke:

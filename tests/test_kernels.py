@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from selreg.kernels import KernelKind, eval_sq, kernel_spec, shape_sq
+
+TINY = np.finfo(float).smallest_normal
 
 
 def gaussian_pdf(t, d):
@@ -70,12 +74,17 @@ class TestEvalSqOut:
         inplace = sq.copy()  # out may be the input itself
         assert eval_sq(k, inplace, out=inplace) is inplace
         assert inplace.tobytes() == alloc.tobytes()
-        # the allocating form is the textbook formula, bit for bit
+        # the allocating form is the textbook formula, bit for bit, with the
+        # Gaussian values below the smallest normal float set to 0
         if k.kind is KernelKind.GAUSSIAN:
             formula = (2.0 * math.pi) ** (-d / 2.0) * np.exp(-0.5 * sq)
+            # 1416 and 1490 give such values, a normal and a subnormal shape
+            assert np.any((formula > 0.0) & (formula < TINY))
+            formula = np.where(formula >= TINY, formula, 0.0)
         else:
             formula = np.where(sq <= 1.0, 0.75 * (1.0 - sq), 0.0)
         assert alloc.tobytes() == formula.tobytes()
+        assert not np.any((alloc > 0.0) & (alloc < TINY))
 
     @pytest.mark.parametrize("scale", [1.0, 0.37, 25.0])
     @pytest.mark.parametrize("kind,d", [("gaussian", 1), ("gaussian", 3),
@@ -94,10 +103,12 @@ class TestEvalSqOut:
             u = sq * scale
         assert out.tobytes() == alloc.tobytes()
         assert inplace.tobytes() == alloc.tobytes()
-        # the textbook shape g(scale * ||t||^2), with K = K(0) * g; halving
-        # is exact here, so the order of the two factors keeps the bits
+        # the textbook shape g(scale * ||t||^2), with K = K(0) * g, and 0
+        # where K(0) * g is below the smallest normal float; halving is
+        # exact here, so the order of the two factors keeps the bits
         if k.kind is KernelKind.GAUSSIAN:
             formula = np.exp(-0.5 * u)
+            formula = np.where(k.peak * formula >= TINY, formula, 0.0)
         else:
             formula = np.where(u <= 1.0, 1.0 - u, 0.0)
         assert alloc.tobytes() == formula.tobytes()
@@ -114,6 +125,40 @@ class TestEvalSqOut:
         assert shape_sq(k, np.array([1.5]), 0.5).tolist() == [0.25]
         assert eval_sq(k, np.array([np.nan, 1.0 + 2 ** -52])).tolist() == [
             0.0, 0.0]
+
+
+class TestUnderflowFloor:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_floor_is_the_least_shape_kept(self, d):
+        k = kernel_spec("gaussian", d)
+        assert k.peak * k.floor >= TINY
+        assert k.peak * np.nextafter(k.floor, 0.0) < TINY
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 5]), st.floats(0.25, 4.0),
+           st.lists(st.floats(1300.0, 1560.0), min_size=1, max_size=40))
+    def test_values_across_the_band_are_zero_or_normal(self, d, scale, sq):
+        # -0.5 * scale * sq in [-780, -650] runs, at each d, from normal
+        # kernel values through the floor and the subnormal range to 0
+        k = kernel_spec("gaussian", d)
+        sq = np.array(sq) / scale
+        shape = shape_sq(k, sq, scale)
+        vals = eval_sq(k, sq * scale)
+        assert np.all((vals == 0.0) | (vals >= TINY))
+        assert np.all((shape == 0.0) | (shape >= k.floor))
+        textbook = np.exp(-0.5 * (sq * scale))
+        assert shape.tobytes() == np.where(k.peak * textbook >= TINY,
+                                           textbook, 0.0).tobytes()
+        # the caller's bound only picks the path: the true maximum and a
+        # looser one that forces the guarded path give the same bits
+        for bound in (sq.max(), 1e300):
+            assert shape_sq(k, sq, scale, sq_max=bound).tobytes() == \
+                shape.tobytes()
+
+    def test_dimension_whose_peak_is_not_normal_is_refused(self):
+        assert kernel_spec("gaussian", 770).peak >= TINY
+        with pytest.raises(ValueError, match="smallest normal"):
+            kernel_spec("gaussian", 780)
 
 
 class TestL2Norm:
