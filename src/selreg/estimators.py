@@ -54,23 +54,24 @@ class Dataset:
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=float))
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-            raise ValueError("covariates must form an (n, d) matrix with n >= 1")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("covariates must be finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
+        self._freeze("x", "covariates", "must form an (n, d) matrix with n >= 1",
+                     lambda x: x.ndim == 2 and x.size > 0, column=True)
         if self.y is not None:
-            y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
-            if y.shape != (x.shape[0],):
-                raise ValueError("responses must be a vector of length n")
-            if not np.all(np.isfinite(y)):
-                raise ValueError("responses must be finite")
-            y.setflags(write=False)
-            object.__setattr__(self, "y", y)
+            self._freeze("y", "responses", "must be a vector of length n",
+                         lambda y: y.shape == (self.n,))
+
+    def _freeze(self, name, noun, shape_rule, shape_ok, column=False):
+        """Store field ``name`` as a C-contiguous, finite, read-only float
+        array; ``column`` makes a 1-D array a column first."""
+        values = np.ascontiguousarray(getattr(self, name), dtype=float)
+        if column and values.ndim == 1:
+            values = values.reshape(-1, 1)
+        if not shape_ok(values):
+            raise ValueError(f"{noun} {shape_rule}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{noun} must be finite")
+        values.setflags(write=False)
+        object.__setattr__(self, name, values)
 
     @property
     def n(self) -> int:
@@ -172,8 +173,8 @@ def evaluate_batch(fit: FitState, X) -> PointEvaluation:
             w = np.divide(vals, denom[rows, None], out=vals)
         # vecdot takes one dot product per row, the sums of a 1-D ``w @ y``
         f_hat[rows] = np.vecdot(w, train.y)
-        sigma2_hat[rows] = np.maximum(
-            np.vecdot(w, np.square(train.y - f_hat[rows, None])), 0.0)
+        # every weight is +0 or more, so sigma2_hat is too (or NaN)
+        sigma2_hat[rows] = np.vecdot(w, np.square(train.y - f_hat[rows, None]))
     return PointEvaluation(f_hat=f_hat, sigma2_hat=sigma2_hat,
                            p_hat=denom / (train.n * h ** train.d),
                            weight_denominator=denom)
@@ -181,10 +182,8 @@ def evaluate_batch(fit: FitState, X) -> PointEvaluation:
 
 def evaluate_point(fit: FitState, x) -> PointEvaluation:
     """Scalar view of evaluate_batch at the single query point x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (fit.train.d,):
-        raise ValueError(f"query has shape {x.shape}, expected ({fit.train.d},)")
-    ev = evaluate_batch(fit, x[None, :])
+    # evaluate_batch refuses any x that is not a length-d vector
+    ev = evaluate_batch(fit, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
     return PointEvaluation(float(ev.f_hat[0]), float(ev.sigma2_hat[0]),
                            float(ev.p_hat[0]), float(ev.weight_denominator[0]))
 
@@ -313,11 +312,12 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     mass, weighted = sums[..., 0], sums[..., 1]
     # a held-out point with zero mass (every kernel value exactly 0) scores
     # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart,
-    # errors first, the order the committed results were made with.
+    # errors first, each as a row's pairwise sum: the errors' bits are those
+    # of a 1-D sum, and so are the fallbacks' while a row has at most two.
     ok = mass > 0.0
     err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
-    fallback = np.square(y - y.mean())
-    return np.array([e.sum() + fallback[~o].sum() for e, o in zip(err, ok)])
+    fallback = np.where(ok, 0.0, np.square(y - y.mean()))
+    return err.sum(axis=1) + fallback.sum(axis=1)
 
 
 def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:

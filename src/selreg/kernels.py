@@ -105,7 +105,7 @@ def shape_sq(kernel: KernelSpec, sq_norms, scale=1.0, out=None, sq_max=None):
     the same bits on both paths. ``sq_max`` is the largest of ``sq_norms``
     other than +inf (which gives 0 on either path), for callers that know
     it; it is computed here when None.
-    Epanechnikov: 1 - scale * ||t||^2 inside the support, 0 outside it
+    Epanechnikov: max(1 - scale * ||t||^2, 0), so 0 outside the support
     (NaN counts as outside); its nonzero values are at least 2^-53, far
     above the floor.
     The values are written into ``out`` when given (it may be ``sq_norms``
@@ -125,10 +125,8 @@ def shape_sq(kernel: KernelSpec, sq_norms, scale=1.0, out=None, sq_max=None):
             return np.exp(out, out=out)
         return _exp_above_floor(out, kernel.floor)
     np.multiply(sq, scale, out=out)
-    outside = ~(out <= 1.0)
-    np.subtract(1.0, out, out=out)
-    out[outside] = 0.0
-    return out
+    # fmax returns the operand that is not NaN, so NaN gives 0 as well
+    return np.fmax(np.subtract(1.0, out, out=out), 0.0, out=out)
 
 
 def _exp_above_floor(arg, floor):

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from selreg import (Dataset, FitState, SyntheticSpec, Uniform,
                     generate_synthetic, kernel_spec, mean_quadratic)
-from selreg.data import derive_seed
+from selreg.data import (ShiftSplit, covariate_shift_split, derive_seed,
+                         load_csv, standardize)
 from selreg import estimators, kernels
 from selreg.estimators import (_BLOCK, _loocv_scores, _sq_dists,
                                default_bandwidth_grid, evaluate_batch,
@@ -47,7 +49,7 @@ def scalar_reference(fit, x):
     denom = float(vals.sum())
     w = vals / denom
     f = float(w @ fit.train.y)
-    s2 = max(float(w @ np.square(fit.train.y - f)), 0.0)
+    s2 = float(w @ np.square(fit.train.y - f))
     return f, s2, denom / (fit.train.n * fit.h ** fit.train.d), denom
 
 
@@ -156,6 +158,23 @@ class TestMeanVariance:
         rng = np.random.default_rng(0)
         fit = make_fit(rng.normal(size=(25, 1)), np.full(25, 4.2), h=0.4)
         assert sigma2_hat_at(fit, [0.1]) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["gaussian", "epanechnikov"]))
+    def test_variance_is_plus_zero_or_more_or_nan(self, seed, kind):
+        # sum_k w_k (y_k - f_hat)^2 with every w_k >= +0 needs no clamp:
+        # it is +0 or more, or NaN at zero mass
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        # few distinct responses, so that some rows have no spread at all
+        y = rng.choice(rng.normal(size=int(rng.integers(1, 4))), size=n)
+        fit = make_fit(rng.normal(size=(n, 1)), y, kernel=kernel_spec(kind, 1),
+                       h=float(rng.uniform(0.01, 2)))
+        queries = np.concatenate([fit.train.x,
+                                  rng.normal(scale=3, size=(20, 1))])
+        s2 = evaluate_batch(fit, queries).sigma2_hat
+        assert np.all(np.isnan(s2) | ((s2 >= 0.0) & ~np.signbit(s2)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
@@ -287,6 +306,11 @@ class TestEvaluatePoint:
             evaluate_batch(fit, np.zeros((4, 3)))
         with pytest.raises(ValueError):
             evaluate_batch(fit, np.zeros(4))
+        # evaluate_point passes x on as one row, which evaluate_batch refuses
+        # unless x is a length-d vector
+        for x in ([1.0, 2.0, 3.0], [[1.0, 2.0]], [], 1.0):
+            with pytest.raises(ValueError, match="queries have shape"):
+                evaluate_point(fit, x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_rejects_nonfinite_rows(self, bad):
@@ -497,6 +521,53 @@ def loocv_case(kind, d, n=40):
             np.geomspace(0.1, 3.0, 8)[::-1])
 
 
+class NumpySpy:
+    """numpy as seen by ``estimators``, keeping every array that ``zeros``
+    makes: in LOO-CV that is the parts' sums, whose part 0 holds the totals
+    once the call has returned."""
+
+    def __init__(self):
+        self.zeros_made = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        self.zeros_made.append(np.zeros(*args, **kwargs))
+        return self.zeros_made[-1]
+
+
+def scores_and_per_h_sums(monkeypatch, data, kernel, grid):
+    """LOO-CV's scores, and the same errors and fallbacks summed per h as
+    1-D arrays: each h's errors, then its zero-mass points' fallbacks."""
+    spy = NumpySpy()
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "np", spy)
+        scores = _loocv_scores(data, kernel, grid)
+    (part_sums,) = spy.zeros_made
+    mass, weighted = part_sums[0, ..., 0], part_sums[0, ..., 1]
+    y = data.y
+    ok = mass > 0.0
+    err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
+    fallback = np.square(y - y.mean())
+    per_h = [e.sum() + fallback[~o].sum() for e, o in zip(err, ok)]
+    return scores, np.array(per_h), (~ok).sum(axis=1)
+
+
+def isolated_case(kind, d, gap, far=1):
+    """40 points: a cluster in the unit cube with y = 0, and ``far`` points
+    (rows 17, 18, ...) gap, 2 gap, ... away from its outermost point along
+    the diagonal, with y = 3, 4, ...; a 3-point grid."""
+    rng = np.random.default_rng(70 + d)
+    x = rng.uniform(0.0, 1.0, size=(40, d))
+    edge = x[np.argmax(x.sum(axis=1))]
+    y = np.zeros(40)
+    for j in range(far):
+        x[17 + j] = edge + (j + 1) * gap / math.sqrt(d)
+        y[17 + j] = 3.0 + j
+    return Dataset(x=x, y=y), kernel_spec(kind, d), [0.3, 0.6, 1.0]
+
+
 class TestLoocvBlocks:
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     @pytest.mark.parametrize("kind,d", KERNEL_DIMS)
@@ -522,16 +593,9 @@ class TestLoocvBlocks:
         # from about 38.5 h on, the Epanechnikov support ends at h), so the
         # term is the fallback (y_i - mean(y))^2, bit for bit.
         monkeypatch.setattr(estimators, "_BLOCK", budget)
-        kernel = kernel_spec(kind, d)
-        rng = np.random.default_rng(70 + d)
-        x = rng.uniform(0.0, 1.0, size=(40, d))
-        # gap away from the cluster's outermost point along the diagonal, so
-        # every cluster point is at least gap away
-        x[17] = x[np.argmax(x.sum(axis=1))] + gap / math.sqrt(d)
-        y = np.zeros(40)
-        y[17] = 3.0
-        data = Dataset(x=x, y=y)
-        grid = [0.3, 0.6, 1.0]
+        # every cluster point is at least gap away from point 17
+        data, kernel, grid = isolated_case(kind, d, gap)
+        x, y = data.x, data.y
         cluster = Dataset(x=np.delete(x, 17, axis=0), y=np.delete(y, 17))
         if gap == SUBNORMAL_GAP:
             # at h = 1 some textbook shapes are positive subnormals; below
@@ -543,8 +607,53 @@ class TestLoocvBlocks:
             assert evaluate_point(FitState(cluster, kernel, h),
                                   x[17]).weight_denominator == 0.0
         fallback = (3.0 - y.mean()) ** 2
-        assert _loocv_scores(data, kernel, grid).tolist() == [fallback] * 3
+        scores, per_h, fallbacks = scores_and_per_h_sums(monkeypatch, data,
+                                                         kernel, grid)
+        assert fallbacks.tolist() == [1] * 3
+        assert scores.tolist() == per_h.tolist() == [fallback] * 3
         assert loocv_oracle(data, kernel, grid).tolist() == [fallback] * 3
+
+
+AIRFOIL_CSV = Path(__file__).resolve().parents[1] / "data" / "airfoil_like.csv"
+
+
+class TestLoocvScoreSums:
+    """The scores are two row sums, the errors' and then the fallbacks'. A
+    row sum has the bits of the 1-D sum, and the zeros in place of the
+    points with mass change no bit while a row has at most two fallbacks."""
+
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    def test_monte_carlo_shaped(self, monkeypatch, n):
+        data = mc_shaped(n)
+        scores, per_h, _ = scores_and_per_h_sums(
+            monkeypatch, data, GAUSS1, default_bandwidth_grid(data))
+        assert scores.tobytes() == per_h.tobytes()
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_airfoil_csv(self, monkeypatch, standardized):
+        data = load_csv(AIRFOIL_CSV, target_column=5)
+        if standardized:  # a standardized pivot-1 train side, as the sweep's
+            data = standardize(*covariate_shift_split(
+                data, ShiftSplit(pivot_feature=1)))[0]
+        scores, per_h, _ = scores_and_per_h_sums(
+            monkeypatch, data, kernel_spec("gaussian", 5),
+            default_bandwidth_grid(data))
+        assert scores.tobytes() == per_h.tobytes()
+
+    def test_two_fallbacks_keep_their_bits(self, monkeypatch):
+        # one fallback: test_isolated_point_scores_exactly_the_fallback
+        scores, per_h, fallbacks = scores_and_per_h_sums(
+            monkeypatch, *isolated_case("epanechnikov", 1, 5.0, far=2))
+        assert fallbacks.tolist() == [2] * 3
+        assert scores.tobytes() == per_h.tobytes()
+
+    def test_three_fallbacks_move_at_most_a_few_ulps(self, monkeypatch):
+        # pairwise summation adds the fallbacks in another order than the
+        # 1-D sum of the fallbacks alone
+        scores, per_h, fallbacks = scores_and_per_h_sums(
+            monkeypatch, *isolated_case("epanechnikov", 1, 5.0, far=3))
+        assert fallbacks.tolist() == [3] * 3
+        assert np.all(np.abs(scores - per_h) <= 4 * np.spacing(per_h))
 
 
 class TestLoocvThreads:
@@ -723,18 +832,27 @@ class TestConsistencySmoke:
 
 class TestDatasetValidation:
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^covariates must be finite$"):
             Dataset(x=[[np.nan]], y=[1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^responses must be finite$"):
             Dataset(x=[[1.0]], y=[np.inf])
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "responses must be a vector of length n")):
             Dataset(x=[[1.0], [2.0]], y=[1.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Dataset(x=np.zeros((0, 1)), y=np.zeros(0))
+        for x in (np.zeros((0, 1)), np.zeros((2, 0)), np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match=re.escape(
+                    "covariates must form an (n, d) matrix with n >= 1")):
+                Dataset(x=x, y=np.zeros(len(x)))
+
+    def test_vector_and_scalar_covariates_are_a_column(self):
+        assert Dataset(x=[1.0, 2.0], y=[0.0, 1.0]).x.shape == (2, 1)
+        data = Dataset(x=3.0, y=1.0)
+        assert (data.x.tolist(), data.y.tolist()) == ([[3.0]], [1.0])
+        assert data.x.flags.c_contiguous and data.x.dtype == float
 
     def test_arrays_are_read_only(self):
         data = Dataset(x=[[1.0]], y=[2.0])

@@ -118,10 +118,14 @@ class TestEvalSqOut:
     def test_epanechnikov_shape_is_zero_past_the_support_and_at_nan(self):
         k = kernel_spec("epanechnikov", 1)
         sq = np.array([1.0, 1.0 + 2 ** -52, 2.0, np.inf, np.nan])
-        assert shape_sq(k, sq).tolist() == [0.0] * 5
+        # +0, not -0: the bits are compared, so the sign is too
+        assert shape_sq(k, sq).tobytes() == np.zeros(5).tobytes()
+        # the last value inside the support and the centre
+        inside = shape_sq(k, np.array([1.0 - 2 ** -53, 0.0]))
+        assert inside.tobytes() == np.array([2 ** -53, 1.0]).tobytes()
         # scaled: 0.5 * 2 is the edge of the support, just above it is out
         scaled = shape_sq(k, np.array([2.0, 2.0 + 2 ** -51, np.nan]), 0.5)
-        assert scaled.tolist() == [0.0, 0.0, 0.0]
+        assert scaled.tobytes() == np.zeros(3).tobytes()
         assert shape_sq(k, np.array([1.5]), 0.5).tolist() == [0.25]
         assert eval_sq(k, np.array([np.nan, 1.0 + 2 ** -52])).tolist() == [
             0.0, 0.0]

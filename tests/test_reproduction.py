@@ -3,8 +3,8 @@
 Each paper run is rerun from its committed ``configs/<results dir>.json``,
 which must equal the config stored in ``results/<dir>/manifest.json``;
 input paths in the config are resolved against the repository root. The
-slowest, acceptance_curve (about 12 s on 2 cores, nearly all of it 400
-LOO-CV fits up to n = 1000), is the end-to-end check that the bandwidth
+slowest, acceptance_curve (about 4.5 s on a 2-vCPU Xeon, nearly all of it
+400 LOO-CV fits up to n = 1000), is the end-to-end check that the bandwidth
 selection still picks the same h. Every committed config also parses, so a
 config that goes stale fails here and not at run time, and the bundled
 data/airfoil_like.csv regenerates byte for byte from its script (the d = 5
