@@ -86,9 +86,10 @@ def decide_batch(ev: PointEvaluation, fit: FitState, lam: float, z: float):
     ev.weight_denominator, so that sweeps over (lam, z) reuse one
     evaluation. A mass below the smallest normal float fails the gate, with
     a NaN threshold: evaluate_batch gives such masses as exactly 0, and a
-    subnormal one given by hand, where 2 / m overflows, is treated alike; a
-    non-positive threshold cannot be met (sigma2_hat >= 0). lam = 0 is
-    allowed here (threshold 0) for the coverage sweep's leftmost cell.
+    subnormal one given by hand, where 2 / m overflows, is treated alike. A
+    negative threshold cannot be met (sigma2_hat >= 0); at lam = 0, allowed
+    for the coverage sweep's leftmost cell, it is +0 or -0.0, which a
+    sigma2_hat of exactly +0 meets.
     """
     mass = np.asarray(ev.weight_denominator, dtype=float)
     ratio = np.divide(2.0, mass, out=np.full(mass.shape, np.nan),

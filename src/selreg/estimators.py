@@ -12,17 +12,16 @@ products, so its estimates are the same bits whatever it is batched with;
 distances once per call, then each grid h takes two elementwise passes and
 two matrix products. When the kernel matrix takes more than one block
 (n > 362), its triangle is cut into _PARTS contiguous parts of about equal
-work, each run by its own thread (at most one per CPU of the process's
-affinity mask) with its own sums, and the parts' sums are added in a fixed
-order, so every score has the same bits whatever the thread count. The
-argmin breaks near-ties (relative 1e-9) towards the smaller h.
+work, each with its own sums, run on a standard-library thread pool of at
+most one thread per CPU of the process's affinity mask; the parts' sums are
+added in part order, so every score has the same bits whatever the thread
+count. The argmin breaks near-ties (relative 1e-9) towards the smaller h.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -235,14 +234,12 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     product K(0) * g is 0 (outside the support, or below the floor); a
     nonzero mass is at least the smallest normal float.
 
-    The blocks are grouped in the contiguous parts of ``_loocv_parts``. Part
-    p accumulates into its own sums, which the threads never share: with T
-    threads (one per CPU of the process, at most one per part), thread t,
-    the calling thread being t = 0, runs parts t, t + T, ... with its own
-    block buffers. The parts' sums are then added in part order, so each
-    score is computed by the same operations whatever T is and has the same
-    bits for any CPU count. An exception in any thread is raised here once
-    every thread has ended.
+    The blocks are grouped in the contiguous parts of ``_loocv_parts``, each
+    with its own block buffers and sums. On one CPU, or with one part, the
+    calling thread runs the parts in order; otherwise a ThreadPoolExecutor,
+    one thread per CPU and at most one per part, runs them and raises a
+    part's exception once every thread has ended. The parts' sums are added
+    in part order, so every score has the same bits for any CPU count.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -264,51 +261,38 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     # part_sums[p, j, i]: kernel mass and kernel-weighted y of row i without
     # sample i, at grid[j], from the blocks of part p
     part_sums = np.zeros((len(parts), grid.size, n, 2))
+
+    # every part's block buffers, made by the calling thread: what the
+    # short-lived pool threads allocate stays in their malloc arenas
+    bufs = np.empty((len(parts), 2, step * n))
+
+    def accumulate(p: int) -> None:
+        sums = part_sums[p]
+        sq_buf, buf = bufs[p]
+        for lo, hi in parts[p]:
+            size = (hi - lo) * (n - lo)
+            sq = sq_buf[:size].reshape(hi - lo, n - lo)
+            vals = buf[:size].reshape(sq.shape)
+            _sq_dists(data.x[lo:hi], data.x[lo:], out=sq, tmp=vals)
+            sq_max = float(np.maximum.reduce(sq, axis=None))
+            diag = np.arange(hi - lo)
+            sq[diag, diag] = np.inf
+            for j, h in enumerate(grid.tolist()):
+                shape_sq(kernel, sq, 1.0 / (h * h), out=vals, sq_max=sq_max)
+                sums[j, lo:hi] += vals @ peak_y[lo:]
+                sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
+
     workers = min(len(parts), _cpu_count())
-    failed = []
+    if workers == 1:
+        for p in range(len(parts)):
+            accumulate(p)
+    else:
+        # imported here: it loads logging, which no one-thread fit needs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:  # leaving it joins them all
+            list(pool.map(accumulate, range(len(parts))))  # raises any error
 
-    def accumulate(first: int) -> None:
-        sq_buf, buf = np.empty((2, step * n))
-        for p in range(first, len(parts), workers):
-            sums = part_sums[p]
-            for lo, hi in parts[p]:
-                if failed:  # another thread raised, so the call fails anyway
-                    return
-                size = (hi - lo) * (n - lo)
-                sq = sq_buf[:size].reshape(hi - lo, n - lo)
-                vals = buf[:size].reshape(sq.shape)
-                _sq_dists(data.x[lo:hi], data.x[lo:], out=sq, tmp=vals)
-                sq_max = float(np.maximum.reduce(sq, axis=None))
-                diag = np.arange(hi - lo)
-                sq[diag, diag] = np.inf
-                for j, h in enumerate(grid.tolist()):
-                    shape_sq(kernel, sq, 1.0 / (h * h), out=vals,
-                             sq_max=sq_max)
-                    sums[j, lo:hi] += vals @ peak_y[lo:]
-                    sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
-
-    def run(first: int) -> None:
-        try:
-            accumulate(first)
-        except BaseException as exc:  # raised again by the calling thread
-            failed.append(exc)
-
-    threads = []
-    try:
-        for t in range(1, workers):
-            thread = threading.Thread(target=run, args=(t,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[0]
-
-    sums = part_sums[0]
-    for more in part_sums[1:]:
-        sums += more
+    sums = part_sums.sum(axis=0)  # in part order, as a loop of += would add
     mass, weighted = sums[..., 0], sums[..., 1]
     # a held-out point with zero mass (every kernel value exactly 0) scores
     # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart,
@@ -350,7 +334,7 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     by one thread, so at most 2 CPUs work on one call whatever the CPU
     count. The chosen h and every score have the same bits for any thread
     count, so results do not depend on the CPU count.
-    Memory: one block per thread (at most _BLOCK kernel values and as many
+    Memory: one block per part (at most _BLOCK kernel values and as many
     squared distances, 2 MB) plus 2 * len(grid) * n floats of accumulated
     sums per part.
     """

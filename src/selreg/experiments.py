@@ -76,8 +76,8 @@ class DataSource:
     test_csv: Optional[str] = None
     csv: Optional[str] = None
     pivot_feature: Optional[int] = None
-    train_quantile: float = 0.7
-    swap_fraction: float = 0.2
+    train_quantile: float = ShiftSplit.train_quantile
+    swap_fraction: float = ShiftSplit.swap_fraction
 
     def paths(self) -> list[str]:
         return [p for p in (self.train_csv, self.test_csv, self.csv) if p]

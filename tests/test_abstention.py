@@ -278,6 +278,20 @@ class TestZDirect:
         d = decide_from_evaluation(evaluate_point(fit, [0.0]), fit, 0.0, 0.0)
         assert not d.accepted or d.eval.sigma2_hat == 0.0
 
+    @pytest.mark.parametrize("z", [0.0, Z95])
+    def test_lambda_zero_accepts_zero_variance(self, z):
+        # at lam = 0 the threshold 0 * (1 - z ||K||_2 sqrt(2 / m)) is +0, or
+        # -0.0 where the bracket is negative (z = Z95 at m = 4a and 1), and
+        # sigma2_hat = +0 meets either
+        signs = []
+        for mass in (4 * GAUSS_FIT.kernel.a, 1.0, 50.0):
+            d = decide_from_evaluation(at_mass(mass, sigma2_hat=0.0),
+                                       GAUSS_FIT, 0.0, z)
+            assert d.threshold == 0.0
+            assert d.accepted and d.reason is Reason.ACCEPTED
+            signs.append(math.copysign(1.0, d.threshold))
+        assert signs == ([1.0] * 3 if z == 0.0 else [-1.0, -1.0, 1.0])
+
 
 class TestDecideBatch:
     @settings(max_examples=30, deadline=None)

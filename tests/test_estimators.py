@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -523,8 +525,7 @@ def loocv_case(kind, d, n=40):
 
 class NumpySpy:
     """numpy as seen by ``estimators``, keeping every array that ``zeros``
-    makes: in LOO-CV that is the parts' sums, whose part 0 holds the totals
-    once the call has returned."""
+    makes: in LOO-CV that is the parts' sums."""
 
     def __init__(self):
         self.zeros_made = []
@@ -545,7 +546,8 @@ def scores_and_per_h_sums(monkeypatch, data, kernel, grid):
         m.setattr(estimators, "np", spy)
         scores = _loocv_scores(data, kernel, grid)
     (part_sums,) = spy.zeros_made
-    mass, weighted = part_sums[0, ..., 0], part_sums[0, ..., 1]
+    sums = part_sums.sum(axis=0)
+    mass, weighted = sums[..., 0], sums[..., 1]
     y = data.y
     ok = mass > 0.0
     err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
@@ -749,13 +751,28 @@ class TestLoocvThreads:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(estimators, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(estimators.threading, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         assert (_BLOCK // 362) >= 362 > _BLOCK // 363
         data, kernel, grid = loocv_case("gaussian", 1, n=362)
         _loocv_scores(data, kernel, grid)
         data, kernel, grid = loocv_case("gaussian", 1, n=363)
         with pytest.raises(AssertionError, match="a thread was started"):
             _loocv_scores(data, kernel, grid)
+        # one CPU: the calling thread runs both parts, one after the other
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
+        _loocv_scores(data, kernel, grid)
+
+    def test_importing_the_package_loads_no_thread_pool(self):
+        # concurrent.futures imports logging; only a multi-part LOO-CV
+        # call loads them
+        code = ("import sys, selreg, selreg.cli, selreg.experiments; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        src = Path(estimators.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "[]"
 
 
 def plain_shape_sq(kernel, sq, scale=1.0, out=None, sq_max=None):

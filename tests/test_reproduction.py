@@ -9,20 +9,40 @@ selection still picks the same h. Every committed config also parses, so a
 config that goes stale fails here and not at run time, and the bundled
 data/airfoil_like.csv regenerates byte for byte from its script (the d = 5
 draw path).
+
+The bytes depend on the arithmetic underneath, numpy's loops and OpenBLAS's
+kernels (README, "Determinism"), so a CSV that differs fails with the count
+of differing rows, the first of them, and the arithmetic of this run.
 """
 
 import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from selreg.experiments import config_from_dict, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+COMMITTED_ARITHMETIC = ("numpy 2.4.6, float64 exp loop X86_V4 (AVX-512), "
+                        "OpenBLAS 0.3.31 on its SkylakeX kernels")
+
+
+def arithmetic() -> str:
+    """The numpy, float64 exp loop and OpenBLAS build of this process. The
+    configuration string names OpenBLAS's build, not the kernels it picked
+    for this CPU."""
+    (exp,) = opt_func_info(func_name="^exp$",
+                           signature="float64")["exp"].values()
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return (f"numpy {np.__version__}, float64 exp loop {exp['current']}, "
+            f"OpenBLAS configuration {blas.get('openblas configuration')!r}")
 
 
 @pytest.mark.parametrize("name", ["acceptance_curve", "coverage_sweep",
@@ -36,8 +56,16 @@ def test_committed_csv_reproduced(tmp_path, name):
         config["data"]["csv"] = str(ROOT / config["data"]["csv"])
     produced = run_scenario(config, tmp_path)["outputs"]
     assert len(produced) == len(manifest["outputs"]) == 1
-    assert (Path(produced[0]).read_bytes()
-            == (ROOT / manifest["outputs"][0]).read_bytes())
+    got = Path(produced[0]).read_bytes()
+    committed = (ROOT / manifest["outputs"][0]).read_bytes()
+    if got != committed:
+        rows = [pair for pair in zip_longest(got.splitlines(keepends=True),
+                                             committed.splitlines(keepends=True))
+                if pair[0] != pair[1]]
+        pytest.fail(f"{len(rows)} rows differ from {manifest['outputs'][0]}; "
+                    f"the first, produced then committed:\n  {rows[0][0]!r}\n"
+                    f"  {rows[0][1]!r}\nthis run: {arithmetic()}\n"
+                    f"committed bytes: {COMMITTED_ARITHMETIC}")
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
