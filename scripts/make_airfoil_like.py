@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Write the bundled 5-feature heteroskedastic benchmark CSV.
 
-The last column is the response; feature 1 is the intended split pivot.
+1500 rows drawn with seed 815 (``airfoil_like_spec``'s defaults). The last
+column is the response; feature 1 is the intended split pivot.
 """
 
 import argparse
@@ -13,11 +14,9 @@ from selreg.data import airfoil_like_spec, generate_synthetic
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="data/airfoil_like.csv")
-    parser.add_argument("--n", type=int, default=1500)
-    parser.add_argument("--seed", type=int, default=815)
     args = parser.parse_args()
 
-    ds = generate_synthetic(airfoil_like_spec(n=args.n, seed=args.seed))
+    ds = generate_synthetic(airfoil_like_spec())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = (",".join(format(v, ".17g") for v in [*row, y])

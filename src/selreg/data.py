@@ -210,25 +210,24 @@ def covariate_shift_split(data: Dataset, split: ShiftSplit) -> tuple[Dataset, Da
     if np.all(pivot == pivot[0]):
         raise ValueError("pivot column is constant; split undefined")
 
-    order = np.argsort(pivot, kind="stable")
     n_low = int(math.floor(split.train_quantile * data.n))
+    if n_low == 0:  # floor(q * n) < n, so the test side is never empty
+        raise ValueError(f"train_quantile {split.train_quantile!r} leaves no "
+                         f"training rows at n = {data.n}")
+
+    order = np.argsort(pivot, kind="stable")
     low, high = order[:n_low], order[n_low:]
+    k = min(int(math.floor(split.swap_fraction * low.size)), high.size)
+    train = np.zeros(data.n, dtype=bool)
+    train[low] = True
+    train[_pick(derive_seed(split.seed, 0), low, k)] = False
+    train[_pick(derive_seed(split.seed, 1), high, k)] = True
 
-    k = int(math.floor(split.swap_fraction * low.size))
-    k = min(k, high.size)
-    out_low = _pick(derive_seed(split.seed, 0), low, k)
-    out_high = _pick(derive_seed(split.seed, 1), high, k)
+    def take(rows: np.ndarray) -> Dataset:
+        return Dataset(x=data.x[rows],
+                       y=None if data.y is None else data.y[rows])
 
-    train_idx = np.sort(np.concatenate(
-        [np.setdiff1d(low, out_low, assume_unique=True), out_high]))
-    test_idx = np.sort(np.concatenate(
-        [np.setdiff1d(high, out_high, assume_unique=True), out_low]))
-
-    def take(idx: np.ndarray) -> Dataset:
-        return Dataset(x=data.x[idx],
-                       y=None if data.y is None else data.y[idx])
-
-    return take(train_idx), take(test_idx)
+    return take(train), take(~train)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,22 @@ enters after it, as 1 / h^2. ``evaluate_batch`` is the one evaluation path,
 exact brute force, O(n) per query point; at desk scale (n <= 2e4) nothing
 faster is needed. Each query row gets its own kernel row, weight sum and dot
 products, so its estimates are the same bits whatever it is batched with;
-``evaluate_point`` is the one-point view. LOO-CV forms each block's
-distances once per call, then each grid h takes two elementwise passes and
-two matrix products. When the kernel matrix takes more than one block
-(n > 362), its triangle is cut into _PARTS contiguous parts of about equal
-work, each with its own sums, run on a standard-library thread pool of at
-most one thread per CPU of the process's affinity mask; the parts' sums are
-added in part order, so every score has the same bits whatever the thread
-count. The argmin breaks near-ties (relative 1e-9) towards the smaller h.
+``evaluate_point`` is the one-point view.
+
+LOO-CV evaluates each pair of samples once per grid h, about n^2 / 2 kernel
+shapes, half of the symmetric kernel matrix: a block holds rows lo:hi and
+only the columns lo:n. Each block's distances are formed once per call, and
+each grid h then takes two elementwise passes (a multiply and an exp) and
+two matrix products of at most 2^18 multiply-adds, a size a threaded BLAS
+such as OpenBLAS runs on the calling thread. When the kernel matrix takes
+more than one block (n > 362), its triangle is cut into _PARTS = 2
+contiguous parts of about equal work, each with its own block buffers and
+sums, run on a standard-library thread pool of at most one thread per CPU
+of the process's affinity mask, so at most 2 CPUs work on one call. The
+parts' sums are added in part order, so every score has the same bits
+whatever the thread count. Memory: one block per part (at most _BLOCK
+shapes and as many squared distances, 2 MB) plus 2 * len(grid) * n floats
+of sums per part.
 """
 
 from __future__ import annotations
@@ -222,24 +230,16 @@ def _loocv_parts(n: int, step: int) -> list:
 def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     """Leave-one-out squared error sum_i (y_i - f_{-i}(x_i))^2 for each h.
 
-    The scores follow the order of ``grid``. The kernel matrix is symmetric,
-    so each pair is evaluated once: a block holds rows lo:hi and only the
-    columns lo:n. Its squared distances come from ``_sq_dists``, once per
-    call, and their maximum is taken before the diagonal distance is set to
-    +inf (K = 0 there), so ``shape_sq`` knows for every h whether anything
-    can fall below the kernel's floor. Per grid h the block is overwritten
-    with the shape g(||x_i - x_k||^2 / h^2), ``block @ K(0) [1, y]`` gives
-    those rows' kernel mass and weighted-y sums, and the transposed block
-    adds the mirrored sums of columns hi:n. A row has zero mass when every
-    product K(0) * g is 0 (outside the support, or below the floor); a
-    nonzero mass is at least the smallest normal float.
-
-    The blocks are grouped in the contiguous parts of ``_loocv_parts``, each
-    with its own block buffers and sums. On one CPU, or with one part, the
-    calling thread runs the parts in order; otherwise a ThreadPoolExecutor,
-    one thread per CPU and at most one per part, runs them and raises a
-    part's exception once every thread has ended. The parts' sums are added
-    in part order, so every score has the same bits for any CPU count.
+    The scores follow the order of ``grid``. f_{-i} is the NW mean fit
+    without sample i; a held-out point with zero kernel mass is predicted by
+    the mean of y, which keeps the criterion finite and comparable across h.
+    Per grid h a block is overwritten with the shapes
+    g(||x_i - x_k||^2 / h^2), 0 on the diagonal, and ``block @ [1, y]``
+    gives its rows' shape mass and shape-weighted y; the transposed block
+    adds the mirrored sums of columns hi:n. K(0) cancels in their ratio.
+    ``shape_sq`` writes 0 below ``kernel.floor``, so a held-out point has
+    zero mass exactly when each of its kernel values is 0, and a nonzero
+    mass is at least the floor, above the smallest normal float.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -253,12 +253,10 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
         raise ValueError("LOO-CV needs at least 3 samples")
 
     y = data.y
-    # K(0) scales the operand rather than being dropped, so each product
-    # K(0) * g is the kernel value, 0 or at least the smallest normal float
-    peak_y = kernel.peak * np.column_stack([np.ones(n), y])
+    one_y = np.column_stack([np.ones(n), y])
     step = min(n, max(1, _BLOCK // n))
     parts = _loocv_parts(n, step)
-    # part_sums[p, j, i]: kernel mass and kernel-weighted y of row i without
+    # part_sums[p, j, i]: shape mass and shape-weighted y of row i without
     # sample i, at grid[j], from the blocks of part p
     part_sums = np.zeros((len(parts), grid.size, n, 2))
 
@@ -274,13 +272,14 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
             sq = sq_buf[:size].reshape(hi - lo, n - lo)
             vals = buf[:size].reshape(sq.shape)
             _sq_dists(data.x[lo:hi], data.x[lo:], out=sq, tmp=vals)
+            # the maximum before the diagonal's +inf (shape 0 at any h)
+            # tells ``shape_sq`` whether anything can fall below the floor
             sq_max = float(np.maximum.reduce(sq, axis=None))
-            diag = np.arange(hi - lo)
-            sq[diag, diag] = np.inf
+            np.fill_diagonal(sq, np.inf)
             for j, h in enumerate(grid.tolist()):
                 shape_sq(kernel, sq, 1.0 / (h * h), out=vals, sq_max=sq_max)
-                sums[j, lo:hi] += vals @ peak_y[lo:]
-                sums[j, hi:] += vals[:, hi - lo:].T @ peak_y[lo:hi]
+                sums[j, lo:hi] += vals @ one_y[lo:]
+                sums[j, hi:] += vals[:, hi - lo:].T @ one_y[lo:hi]
 
     workers = min(len(parts), _cpu_count())
     if workers == 1:
@@ -294,54 +293,25 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
 
     sums = part_sums.sum(axis=0)  # in part order, as a loop of += would add
     mass, weighted = sums[..., 0], sums[..., 1]
-    # a held-out point with zero mass (every kernel value exactly 0) scores
-    # the fallback (y_i - mean(y))^2. Errors and fallbacks are summed apart,
-    # errors first, each as a row's pairwise sum: the errors' bits are those
-    # of a 1-D sum, and so are the fallbacks' while a row has at most two.
-    ok = mass > 0.0
-    err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
-    fallback = np.where(ok, 0.0, np.square(y - y.mean()))
-    return err.sum(axis=1) + fallback.sum(axis=1)
+    pred = np.divide(weighted, mass, out=np.full(mass.shape, y.mean()),
+                     where=mass > 0.0)
+    # a row sum of a C-contiguous array has the bits of the 1-D sum
+    return np.square(y - pred).sum(axis=1)
 
 
 def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
-    """Pick the grid bandwidth minimizing the leave-one-out squared error.
+    """The grid bandwidth minimizing the leave-one-out squared error.
 
-    For each h the criterion is sum_i (y_i - f_{-i}(x_i))^2, where f_{-i} is
-    the NW mean fit without sample i. A held-out point whose remaining
-    kernel mass is zero contributes the penalty (y_i - mean(y))^2, keeping
-    the criterion finite and comparable across h.
-
-    Ties go to the smaller h: the result is the smallest grid h whose score
-    is at most min * (1 + 1e-9). Scores that are equal in exact arithmetic
-    (a plateau where every point keeps the same few neighbours, common for
-    the Epanechnikov kernel at small n) differ in their last bits with the
-    order of the floating-point operations, and the band keeps such rounding
-    from deciding which h wins.
-
-    Cost: the kernel matrix is symmetric, so each pair of samples is
-    evaluated once per grid h, about n^2 / 2 kernel values (plus the small
-    diagonal squares of the blocks), half of the full matrix; per h that is
-    one multiply and one exp over the values and two matrix products. The
-    squared distances are direct differences, d subtract-and-square passes
-    per block, with no matrix product; the per-h products take at most
-    2^18 multiply-adds, a size a threaded BLAS such as OpenBLAS runs on the
-    calling thread, so the threads here do not compete with BLAS threads.
-    Each block's distances are formed once per call and serve every h.
-    Gaussian values whose product with K(0) would be subnormal are 0, and
-    blocks where none can be take no extra pass. Above one block (n > 362)
-    the triangle is cut into _PARTS = 2 parts of about equal work, each run
-    by one thread, so at most 2 CPUs work on one call whatever the CPU
-    count. The chosen h and every score have the same bits for any thread
-    count, so results do not depend on the CPU count.
-    Memory: one block per part (at most _BLOCK kernel values and as many
-    squared distances, 2 MB) plus 2 * len(grid) * n floats of accumulated
-    sums per part.
+    Ties go to the smaller h: the result is the smallest grid h whose
+    ``_loocv_scores`` score is at most min * (1 + 1e-9). Scores that are
+    equal in exact arithmetic (a plateau where every point keeps the same
+    few neighbours, common for the Epanechnikov kernel at small n) differ in
+    their last bits with the order of the floating-point operations, and the
+    band keeps such rounding from deciding which h wins.
     """
-    ordered = np.sort(np.asarray(grid, dtype=float))
-    scores = _loocv_scores(data, kernel, ordered)
-    tied = scores <= scores.min() * (1.0 + _TIE_RTOL)
-    return float(ordered[np.argmax(tied)])  # the first True: the smallest h
+    grid = np.asarray(grid, dtype=float)
+    scores = _loocv_scores(data, kernel, grid)
+    return float(grid[scores <= scores.min() * (1.0 + _TIE_RTOL)].min())
 
 
 def loocv_bandwidth(kernel: KernelSpec, grid=None) -> Callable[[Dataset], FitState]:

@@ -247,6 +247,22 @@ class TestShiftSplit:
             covariate_shift_split(ordered_dataset(5),
                                   ShiftSplit(pivot_feature=0, seed=0))
 
+    @pytest.mark.parametrize("n", [10, 15, 19])
+    def test_empty_train_side_refused(self, n):
+        # floor(0.05 n) = 0 below 20 rows
+        data = generate_synthetic(airfoil_like_spec(n=n, seed=2))
+        split = ShiftSplit(pivot_feature=1, train_quantile=0.05)
+        with pytest.raises(ValueError, match=rf"^train_quantile 0\.05 leaves "
+                                             rf"no training rows at n = {n}$"):
+            covariate_shift_split(data, split)
+
+    def test_one_training_row_at_the_quantile_edge(self):
+        data = generate_synthetic(airfoil_like_spec(n=20, seed=2))
+        train, test = covariate_shift_split(
+            data, ShiftSplit(pivot_feature=1, train_quantile=0.05))
+        assert (train.n, test.n) == (1, 19)
+        assert train.x[0, 1] == data.x[:, 1].min()  # nothing to swap
+
 
 class TestStandardize:
     def test_train_columns_standardized(self):
@@ -273,6 +289,17 @@ class TestStandardize:
         assert scaler.mean[0] == 0.0 and scaler.scale[0] == 1.0
         np.testing.assert_array_equal(strain.x[:, 0], x[:, 0])
         np.testing.assert_array_equal(stest.x[:, 0], x[:5, 0])
+
+    def test_one_training_row_refused(self):
+        with pytest.raises(ValueError, match="^standardization needs at "
+                                             "least 2 training rows$"):
+            standardize(Dataset(x=[[1.0, 2.0]]), Dataset(x=np.ones((3, 2))))
+
+    def test_dimension_mismatch_refused(self):
+        with pytest.raises(ValueError,
+                           match="^train and test dimension mismatch$"):
+            standardize(Dataset(x=np.arange(8.0).reshape(4, 2)),
+                        Dataset(x=np.ones((3, 3))))
 
 
 class TestLoadCsv(object):
@@ -318,6 +345,20 @@ class TestLoadCsv(object):
         path = self.write(tmp_path, "1,2\n3,4\n")
         with pytest.raises(ValueError, match="target column"):
             load_csv(path, target_column=5)
+
+    def test_target_as_the_only_column_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="^no covariate columns left "
+                                             "after removing the target$"):
+            load_csv(self.write(tmp_path, "1\n2\n"), target_column=0)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        ds = load_csv(self.write(tmp_path, "1,2\n\n  \n3,4\n"),
+                      target_column=1)
+        np.testing.assert_array_equal(ds.x, [[1.0], [3.0]])
+        np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+        path = self.write(tmp_path, "1,2\n\n  \n3,x\n")
+        with pytest.raises(ValueError, match=r"line 4, column 2: 'x'$"):
+            load_csv(path, target_column=1)
 
     def test_row_order_preserved(self, tmp_path):
         path = self.write(tmp_path, "9,1\n5,2\n7,3\n")

@@ -393,6 +393,23 @@ class TestBandwidthSelection:
         with pytest.raises(ValueError):
             select_bandwidth_loocv(data, gauss1d, [])
 
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_grid_entries_must_be_positive_reals(self, gauss1d, bad):
+        data = Dataset(x=np.arange(10.0), y=np.arange(10.0))
+        with pytest.raises(ValueError, match="^bandwidth grid entries must "
+                                             "be positive reals$"):
+            select_bandwidth_loocv(data, gauss1d, [0.5, bad])
+
+    def test_needs_responses(self, gauss1d):
+        with pytest.raises(ValueError, match="^LOO-CV requires responses$"):
+            select_bandwidth_loocv(Dataset(x=np.arange(10.0)), gauss1d, [0.5])
+
+    def test_default_grid_on_constant_covariates(self):
+        grid = default_bandwidth_grid(Dataset(x=np.ones((5, 2))))
+        assert grid.tolist() == np.geomspace(0.05, 1.0,
+                                             estimators._GRID_SIZE).tolist()
+        assert (grid[0], grid[-1]) == (0.05, 1.0)
+
     def test_needs_three_samples(self, gauss1d):
         data = Dataset(x=[[0.0], [1.0]], y=[0.0, 1.0])
         with pytest.raises(ValueError):
@@ -539,8 +556,9 @@ class NumpySpy:
 
 
 def scores_and_per_h_sums(monkeypatch, data, kernel, grid):
-    """LOO-CV's scores, and the same errors and fallbacks summed per h as
-    1-D arrays: each h's errors, then its zero-mass points' fallbacks."""
+    """LOO-CV's scores; per h, the 1-D sum of (y - pred)^2, with each
+    leave-one-out prediction read from LOO-CV's own part sums (the mean of y
+    at a zero-mass point); and per h, the count of zero-mass points."""
     spy = NumpySpy()
     with monkeypatch.context() as m:
         m.setattr(estimators, "np", spy)
@@ -550,9 +568,8 @@ def scores_and_per_h_sums(monkeypatch, data, kernel, grid):
     mass, weighted = sums[..., 0], sums[..., 1]
     y = data.y
     ok = mass > 0.0
-    err = np.where(ok, np.square(y - weighted / np.where(ok, mass, 1.0)), 0.0)
-    fallback = np.square(y - y.mean())
-    per_h = [e.sum() + fallback[~o].sum() for e, o in zip(err, ok)]
+    pred = np.where(ok, weighted / np.where(ok, mass, 1.0), y.mean())
+    per_h = [np.square(y - p).sum() for p in pred]
     return scores, np.array(per_h), (~ok).sum(axis=1)
 
 
@@ -620,15 +637,16 @@ AIRFOIL_CSV = Path(__file__).resolve().parents[1] / "data" / "airfoil_like.csv"
 
 
 class TestLoocvScoreSums:
-    """The scores are two row sums, the errors' and then the fallbacks'. A
-    row sum has the bits of the 1-D sum, and the zeros in place of the
-    points with mass change no bit while a row has at most two fallbacks."""
+    """Each score is one row sum of the squared leave-one-out errors, and a
+    row sum of a C-contiguous array has the bits of the 1-D sum, however
+    many of the row's points have zero mass."""
 
     @pytest.mark.parametrize("n", [20, 200, 2000])
     def test_monte_carlo_shaped(self, monkeypatch, n):
         data = mc_shaped(n)
-        scores, per_h, _ = scores_and_per_h_sums(
+        scores, per_h, zero_mass = scores_and_per_h_sums(
             monkeypatch, data, GAUSS1, default_bandwidth_grid(data))
+        assert not zero_mass.any()
         assert scores.tobytes() == per_h.tobytes()
 
     @pytest.mark.parametrize("standardized", [False, True])
@@ -642,20 +660,18 @@ class TestLoocvScoreSums:
             default_bandwidth_grid(data))
         assert scores.tobytes() == per_h.tobytes()
 
-    def test_two_fallbacks_keep_their_bits(self, monkeypatch):
-        # one fallback: test_isolated_point_scores_exactly_the_fallback
-        scores, per_h, fallbacks = scores_and_per_h_sums(
-            monkeypatch, *isolated_case("epanechnikov", 1, 5.0, far=2))
-        assert fallbacks.tolist() == [2] * 3
+    @pytest.mark.parametrize("far", [2, 3, 6])
+    def test_zero_mass_points_keep_their_bits(self, monkeypatch, far):
+        # one zero-mass point: test_isolated_point_scores_exactly_the_fallback.
+        # Noise on the cluster's responses gives every row nonzero errors
+        # next to the zero-mass points' (y_i - mean(y))^2.
+        data, kernel, grid = isolated_case("epanechnikov", 1, 5.0, far=far)
+        noise = np.random.default_rng(far).normal(size=data.n)
+        data = Dataset(x=data.x, y=np.where(data.y == 0.0, noise, data.y))
+        scores, per_h, zero_mass = scores_and_per_h_sums(monkeypatch, data,
+                                                         kernel, grid)
+        assert zero_mass.tolist() == [far] * 3
         assert scores.tobytes() == per_h.tobytes()
-
-    def test_three_fallbacks_move_at_most_a_few_ulps(self, monkeypatch):
-        # pairwise summation adds the fallbacks in another order than the
-        # 1-D sum of the fallbacks alone
-        scores, per_h, fallbacks = scores_and_per_h_sums(
-            monkeypatch, *isolated_case("epanechnikov", 1, 5.0, far=3))
-        assert fallbacks.tolist() == [3] * 3
-        assert np.all(np.abs(scores - per_h) <= 4 * np.spacing(per_h))
 
 
 class TestLoocvThreads:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,59 @@ class TestConfigValidation:
             config_from_dict(bad)
         assert any(p.startswith(field) for p in err.value.problems)
         assert any("seed" in p for p in err.value.problems)  # still collected
+
+    @pytest.mark.parametrize("config", [[], "acceptance_curve", None])
+    def test_config_must_be_an_object(self, config):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(config)
+        assert err.value.problems == ["config must be a JSON object"]
+
+    @pytest.mark.parametrize("h", [{"bogus": 1}, "fixed", {"power": 2.0}])
+    def test_unknown_h_form_lists_the_forms(self, h):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(acceptance_config(h=h))
+        assert err.value.problems == [
+            'h must be "loocv", {"fixed": h}, {"power": {...}} or '
+            '{"loocv": {"grid": [...]}}']
+
+    @pytest.mark.parametrize("synthetic,problem", [
+        (dict(synthetic_block(), mean="cubic"),
+         "synthetic.mean must be one of ['quadratic'] or a {\"table\": ...} "
+         "spec, got 'cubic'"),
+        (None, "synthetic block is required for this scenario"),
+        (dict(synthetic_block(), extra=1),
+         "unknown synthetic keys: ['extra']"),
+    ])
+    def test_bad_synthetic_block(self, synthetic, problem):
+        cfg = acceptance_config()
+        cfg.pop("synthetic")
+        if synthetic is not None:
+            cfg["synthetic"] = synthetic
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(cfg)
+        assert err.value.problems == [problem]
+
+    def test_beta_sweep_takes_a_single_n(self):
+        cfg = acceptance_config(scenario="excess_risk_vs_beta", n=[50, 100],
+                                beta_list=[0.05, 0.5])
+        del cfg["beta"]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(cfg)
+        assert err.value.problems == ["excess_risk_vs_beta takes a single n"]
+
+    def test_table_mean_and_sd_parse_and_run(self, tmp_path):
+        cfg = acceptance_config(synthetic=dict(
+            synthetic_block(),
+            mean={"table": {"x": [-2, 0, 2], "y": [1, 0, 1]}},
+            sd={"table": {"x": [-2, 2], "y": [0.2, 0.8]}}))
+        spec = config_from_dict(cfg).synthetic
+        assert spec.mean_fn(1.0) == 0.5 and spec.sd_fn(0.0) == 0.5
+        np.testing.assert_array_equal(spec.mean_fn(np.array([-2.0, -1.0])),
+                                      [1.0, 0.5])
+        run_scenario(cfg, tmp_path / "out")
+        header, rows = read_rows(tmp_path / "out" / "acceptance_curve.csv")
+        assert header == ["x", "n", "accept_fraction"] and len(rows) == 9
+        assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
 
     @pytest.mark.parametrize("grid_json,problem", [
         ("[-1, 0.5]", "h.loocv.grid[0] must be a positive finite real, got -1.0"),
@@ -398,15 +452,19 @@ class TestPointwiseConvergence:
         assert n32 == {32 * 0.5}
 
 
+def write_airfoil_like(path, n):
+    """An n-row airfoil-like CSV without header, the response last."""
+    ds = generate_synthetic(airfoil_like_spec(n=n, seed=2))
+    rows = [",".join(format(v, ".17g") for v in list(row) + [y])
+            for row, y in zip(ds.x, ds.y)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
 class TestCoverageSweep:
     @pytest.fixture()
     def airfoil_csv(self, tmp_path):
-        ds = generate_synthetic(airfoil_like_spec(n=300, seed=2))
-        path = tmp_path / "airfoil_like.csv"
-        rows = [",".join(format(v, ".17g") for v in list(row) + [y])
-                for row, y in zip(ds.x, ds.y)]
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        return path
+        return write_airfoil_like(tmp_path / "airfoil_like.csv", 300)
 
     def coverage_config(self, csv_path, **kw):
         cfg = {"scenario": "coverage_mse_sweep", "seed": 13,
@@ -422,6 +480,15 @@ class TestCoverageSweep:
     def test_missing_csv_leaves_no_output_directory(self, tmp_path):
         cfg = self.coverage_config(tmp_path / "absent.csv")
         with pytest.raises(FileNotFoundError):
+            run_scenario(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_train_side_leaves_no_output_directory(self, tmp_path):
+        csv_path = write_airfoil_like(tmp_path / "small.csv", 15)
+        cfg = self.coverage_config(csv_path)
+        cfg["data"]["train_quantile"] = 0.05
+        with pytest.raises(ValueError, match=r"^train_quantile 0\.05 leaves "
+                                             r"no training rows at n = 15$"):
             run_scenario(cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

@@ -159,6 +159,12 @@ class TestUnderflowFloor:
             assert shape_sq(k, sq, scale, sq_max=bound).tobytes() == \
                 shape.tobytes()
 
+    @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
+    def test_dimension_must_be_positive(self, kind):
+        with pytest.raises(ValueError,
+                           match="^dimension must be a positive integer$"):
+            kernel_spec(kind, 0)
+
     def test_dimension_whose_peak_is_not_normal_is_refused(self):
         assert kernel_spec("gaussian", 770).peak >= TINY
         with pytest.raises(ValueError, match="smallest normal"):
