@@ -48,7 +48,8 @@ class AbstentionConfig:
 
     beta is capped at 0.5: beyond it the test would be anti-conservative
     relative to the plugin rule. The critical value z = z_{1-beta} is
-    derived once, here, for every decision made under the config.
+    derived once, here, by ``critical_value``, for every decision made
+    under the config.
     """
 
     lam: float
@@ -62,7 +63,13 @@ class AbstentionConfig:
         if not (0.0 < self.beta <= 0.5):
             raise ValueError(f"beta must lie in (0, 0.5], "
                              f"got {float(self.beta)!r}")
-        object.__setattr__(self, "z", normal_quantile(1.0 - self.beta))
+        object.__setattr__(self, "z", critical_value(self.beta))
+
+
+def critical_value(beta: float) -> float:
+    """z_{1-beta} = -Phi^{-1}(beta) (+0.0 at beta = 0.5), for beta in
+    (0, 0.5]; 1 - beta would round the tail away, to 1.0 below 2^-53."""
+    return 0.0 - normal_quantile(beta)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .abstention import AbstentionConfig, decide_from_evaluation
 from .data import load_csv
 from .estimators import evaluate_point
 from .experiments import ConfigError, HPolicy, run_scenario
-from .kernels import kernel_spec
+from .kernels import KernelKind, kernel_spec
 
 
 def _jsonable(value: float):
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     band.add_argument("--h-loocv", action="store_true",
                       help="select the bandwidth by leave-one-out CV")
     p.add_argument("--kernel", default="gaussian",
-                   choices=["gaussian", "epanechnikov"])
+                   choices=[k.value for k in KernelKind])
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("experiment", help="run a scenario from a JSON config")

@@ -18,18 +18,16 @@ two matrix products of at most 2^18 multiply-adds, a size a threaded BLAS
 such as OpenBLAS runs on the calling thread. When the kernel matrix takes
 more than one block (n > 362), its triangle is cut into _PARTS = 2
 contiguous parts of about equal work, each with its own block buffers and
-sums, run on a standard-library thread pool of at most one thread per CPU
-of the process's affinity mask, so at most 2 CPUs work on one call. The
-parts' sums are added in part order, so every score has the same bits
-whatever the thread count. Memory: one block per part (at most _BLOCK
-shapes and as many squared distances, 2 MB) plus 2 * len(grid) * n floats
-of sums per part.
+sums, run on a standard-library thread pool of one thread per part, on any
+number of CPUs. The parts' sums are added in part order, so every score has
+the same bits however the threads are scheduled. Memory: one block per part
+(at most _BLOCK shapes and as many squared distances, 2 MB) plus
+2 * len(grid) * n floats of sums per part.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -203,14 +201,6 @@ def default_bandwidth_grid(data: Dataset) -> np.ndarray:
     return np.geomspace(0.05 * spread, spread, _GRID_SIZE)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _loocv_parts(n: int, step: int) -> list:
     """LOO-CV's row blocks (lo, hi) of at most ``step`` rows, in _PARTS lists.
 
@@ -279,16 +269,15 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
             for j, h in enumerate(grid.tolist()):
                 shape_sq(kernel, sq, 1.0 / (h * h), out=vals, sq_max=sq_max)
                 sums[j, lo:hi] += vals @ one_y[lo:]
-                sums[j, hi:] += vals[:, hi - lo:].T @ one_y[lo:hi]
+                if hi < n:  # a block ending at row n mirrors nothing
+                    sums[j, hi:] += vals[:, hi - lo:].T @ one_y[lo:hi]
 
-    workers = min(len(parts), _cpu_count())
-    if workers == 1:
-        for p in range(len(parts)):
-            accumulate(p)
+    if len(parts) == 1:
+        accumulate(0)
     else:
-        # imported here: it loads logging, which no one-thread fit needs
+        # imported here: it loads logging, which no one-block fit needs
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:  # leaving it joins them all
+        with ThreadPoolExecutor(len(parts)) as pool:  # leaving it joins them
             list(pool.map(accumulate, range(len(parts))))  # raises any error
 
     sums = part_sums.sum(axis=0)  # in part order, as a loop of += would add

@@ -22,13 +22,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .abstention import AbstentionConfig, decide_batch
+from .abstention import AbstentionConfig, critical_value, decide_batch
 from .data import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                    covariate_shift_split, load_csv, mean_quadratic,
                    sd_heaviside, sd_sigmoid, standardize, table_fn)
 from .estimators import FitState, evaluate_batch, loocv_bandwidth
-from .kernels import KernelSpec, kernel_spec
-from .normal import normal_quantile
+from .kernels import KernelKind, KernelSpec, kernel_spec
 from .risk import monte_carlo_expected_excess
 
 DIAGNOSTIC_POINTS = (-1.6, -0.5, 0.3, 0.8, 1.6)
@@ -199,7 +198,7 @@ def run_pointwise_convergence(cfg: ExperimentConfig) -> Table:
 def _coverage_methods(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     """(label, z) of every beta_list entry, then of every z_list entry."""
     by_beta = [("plugin" if beta == 0.5 else f"beta={beta:g}",
-                normal_quantile(1.0 - beta)) for beta in cfg.beta_list or ()]
+                critical_value(beta)) for beta in cfg.beta_list or ()]
     return by_beta + [(f"z={z:g}", z) for z in cfg.z_list or ()]
 
 
@@ -514,8 +513,9 @@ def config_from_dict(config: dict) -> ExperimentConfig:
                        ("scenario", "kernel", "x_grid", "h", "synthetic", "data"))
 
     kernel = config.get("kernel", "gaussian")
-    if kernel not in ("gaussian", "epanechnikov"):
-        problems.append("kernel must be \"gaussian\" or \"epanechnikov\"")
+    if kernel not in [k.value for k in KernelKind]:
+        problems.append("kernel must be " + " or ".join(
+            f"\"{k.value}\"" for k in KernelKind))
     if scenario == "excess_risk_vs_beta" and len(top.get("n_list") or ()) > 1:
         problems.append("excess_risk_vs_beta takes a single n")
     if (scenario == "coverage_mse_sweep" and config.get("beta_list") is None

@@ -14,7 +14,7 @@ from selreg.normal import normal_quantile
 
 from conftest import make_fit
 
-Z95 = normal_quantile(0.95)
+Z95 = -normal_quantile(0.05)  # z_{1-beta} at beta = 0.05
 L2_GAUSS_1D = (4 * math.pi) ** -0.25
 
 
@@ -50,9 +50,20 @@ class TestConfig:
 
     def test_z_is_derived_from_beta(self):
         assert AbstentionConfig(lam=0.36, beta=0.05).z == Z95
-        assert AbstentionConfig(lam=0.36, beta=0.5).z == 0.0
+        z_plugin = AbstentionConfig(lam=0.36, beta=0.5).z
+        assert z_plugin == 0.0 and math.copysign(1.0, z_plugin) == 1.0
         with pytest.raises(TypeError):
             AbstentionConfig(lam=0.36, beta=0.05, z=1.0)
+
+    def test_z_is_finite_and_grows_at_levels_below_two_to_the_minus_53(self):
+        # 1 - beta is 1.0 at each of these levels, and Phi^{-1}(1.0) is inf
+        zs = [AbstentionConfig(lam=1.0, beta=beta).z
+              for beta in (2.0 ** -53, 1e-17, 1e-300, 5e-324)]
+        assert all(map(math.isfinite, zs))
+        assert zs == sorted(set(zs))
+        # the tail keeps its precision: 1e-16 and 1.2e-16 are two levels
+        assert (AbstentionConfig(lam=1.0, beta=1e-16).z
+                > AbstentionConfig(lam=1.0, beta=1.2e-16).z)
 
 
 def at_mass(mass, sigma2_hat=0.1):
@@ -269,7 +280,7 @@ class TestZDirect:
         cfg = AbstentionConfig(lam=0.36, beta=0.05)
         via_beta = decide(fit, [0.2], cfg)
         via_z = decide_from_evaluation(evaluate_point(fit, [0.2]), fit, 0.36,
-                                       normal_quantile(0.95))
+                                       -normal_quantile(0.05))
         assert via_beta == via_z
 
     def test_lambda_zero_rejects_noisy_points(self):

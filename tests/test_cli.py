@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from selreg import AbstentionConfig, FitState, decide, kernel_spec, load_csv
-from selreg.cli import main
+from selreg import (AbstentionConfig, FitState, KernelKind, decide,
+                    kernel_spec, load_csv)
+from selreg.cli import build_parser, main
 from selreg.data import generate_synthetic
 from selreg.estimators import default_bandwidth_grid, select_bandwidth_loocv
 
@@ -82,6 +83,17 @@ class TestDecide:
         assert code == 1
         assert report is None
         assert "line 2" in err
+
+    def test_level_below_two_to_the_minus_53_decides(self, capsys, train_csv):
+        code, report, err = run_decide(capsys, train_csv, "--x", "0.0",
+                                       "--beta", "1e-17", "--h", "1")
+        assert code in (0, 3) and err == ""
+        assert report["verdict"] in ("accept", "reject")
+
+    def test_kernel_choices_are_the_kernel_kinds(self):
+        (subparsers,) = build_parser()._subparsers._group_actions
+        kernel = subparsers.choices["decide"]._option_string_actions["--kernel"]
+        assert kernel.choices == [k.value for k in KernelKind]
 
     def test_bad_beta_exits_one(self, capsys, train_csv):
         code, _, _ = run_decide(capsys, train_csv, "--x", "0.0",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -674,27 +675,71 @@ class TestLoocvScoreSums:
         assert scores.tobytes() == per_h.tobytes()
 
 
+def no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+def serial_scores(monkeypatch, data, kernel, grid):
+    """LOO-CV's scores, with ThreadPoolExecutor replaced by a stand-in that
+    runs the same parts in order on the calling thread; and the thread count
+    each stand-in pool was asked for."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        m.setattr(threading, "Thread", no_thread)
+        scores = _loocv_scores(data, kernel, grid)
+    return scores, asked
+
+
+def recorded_pool_sizes(monkeypatch):
+    """A list that receives the thread count of every pool LOO-CV starts."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestLoocvThreads:
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     @pytest.mark.parametrize("kind,d", KERNEL_DIMS)
-    def test_scores_have_the_same_bits_for_any_worker_count(
-            self, monkeypatch, kind, d, budget):
+    def test_pooled_scores_have_the_serial_bits(self, monkeypatch, kind, d,
+                                                budget):
+        # a thread writing into another part's sums would change the scores
         monkeypatch.setattr(estimators, "_BLOCK", budget)
         data, kernel, grid = loocv_case(kind, d)
-        runs = []
+        step = min(data.n, max(1, budget // data.n))
+        parts = len(estimators._loocv_parts(data.n, step))
+        serial, asked = serial_scores(monkeypatch, data, kernel, grid)
+        sizes = recorded_pool_sizes(monkeypatch)
         before = threading.active_count()
-        # one worker runs every part; more workers than parts are capped
-        for workers in (1, 2, 3, grid.size + 3):
-            monkeypatch.setattr(estimators, "_cpu_count", lambda w=workers: w)
-            runs.append(_loocv_scores(data, kernel, grid))
-            assert threading.active_count() == before
-        for scores in runs[1:]:
-            assert np.array_equal(scores, runs[0])
+        pooled = _loocv_scores(data, kernel, grid)
+        assert threading.active_count() == before
+        # one thread per part; a one-block triangle starts no pool
+        assert sizes == asked == ([] if parts == 1 else [parts])
+        assert np.array_equal(pooled, serial)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, workers):
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_part_exception_reaches_the_caller(self, monkeypatch, failing):
         monkeypatch.setattr(estimators, "_BLOCK", 3 * 40)
-        monkeypatch.setattr(estimators, "_cpu_count", lambda: workers)
         data, kernel, grid = loocv_case("gaussian", 1)
         raised_in = []
 
@@ -702,9 +747,10 @@ class TestLoocvThreads:
             pass
 
         def failing_shape_sq(kernel, sq, scale=1.0, out=None, sq_max=None):
-            # only the last block, rows lo:n, is square; it belongs to the
-            # last part, which the first started thread runs
-            if sq.shape[0] == sq.shape[1]:
+            # the first block, rows 0:3, spans every column and belongs to
+            # the first part; only the last block, rows lo:n, is square
+            first, last = sq.shape[1] == data.n, sq.shape[0] == sq.shape[1]
+            if first if failing == "first" else last:
                 raised_in.append(threading.current_thread())
                 raise Boom(scale)
             return shape_sq(kernel, sq, scale, out, sq_max)
@@ -723,23 +769,21 @@ class TestLoocvThreads:
         n, step = data.n, min(data.n, max(1, budget // data.n))
         blocks = sum(map(len, estimators._loocv_parts(n, step)))
         assert blocks <= -(-n // step) + estimators._PARTS - 1
-        for workers in (1, 2, 3, estimators._PARTS + 3):
-            monkeypatch.setattr(estimators, "_cpu_count", lambda w=workers: w)
-            rows = []
+        rows = []
 
-            def counting(a, b, out=None, tmp=None):
-                rows.append((n - len(b), n - len(b) + len(a)))  # (lo, hi)
-                return _sq_dists(a, b, out, tmp)
+        def counting(a, b, out=None, tmp=None):
+            rows.append((n - len(b), n - len(b) + len(a)))  # (lo, hi)
+            return _sq_dists(a, b, out, tmp)
 
-            monkeypatch.setattr(estimators, "_sq_dists", counting)
-            _loocv_scores(data, kernel, grid)
-            # one call per block, whatever the thread count: the calls'
-            # rows cover 0:n once, in blocks of at most step rows
-            assert len(rows) == blocks
-            rows.sort()
-            assert rows[0][0] == 0 and rows[-1][1] == n
-            assert all(hi == lo for (_, hi), (lo, _) in zip(rows, rows[1:]))
-            assert all(0 < hi - lo <= step for lo, hi in rows)
+        monkeypatch.setattr(estimators, "_sq_dists", counting)
+        _loocv_scores(data, kernel, grid)
+        # one call per block: the calls' rows cover 0:n once, in blocks of
+        # at most step rows
+        assert len(rows) == blocks
+        rows.sort()
+        assert rows[0][0] == 0 and rows[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(rows, rows[1:]))
+        assert all(0 < hi - lo <= step for lo, hi in rows)
 
     def test_many_parts_on_more_threads_than_cpus(self, monkeypatch):
         # seven parts on seven threads, switching often: a thread writing
@@ -748,9 +792,8 @@ class TestLoocvThreads:
         monkeypatch.setattr(estimators, "_PARTS", 7)
         data, kernel, grid = loocv_case("gaussian", 2)
         assert len(estimators._loocv_parts(data.n, 1)) == 7
-        monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
-        alone = _loocv_scores(data, kernel, grid)
-        monkeypatch.setattr(estimators, "_cpu_count", lambda: 7)
+        alone, _ = serial_scores(monkeypatch, data, kernel, grid)
+        sizes = recorded_pool_sizes(monkeypatch)
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -760,13 +803,10 @@ class TestLoocvThreads:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
+        assert sizes == [7, 7, 7]
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # at the default budget one block holds n = 362 rows, not 363
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(estimators, "_cpu_count", lambda: 4)
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert (_BLOCK // 362) >= 362 > _BLOCK // 363
         data, kernel, grid = loocv_case("gaussian", 1, n=362)
@@ -774,9 +814,6 @@ class TestLoocvThreads:
         data, kernel, grid = loocv_case("gaussian", 1, n=363)
         with pytest.raises(AssertionError, match="a thread was started"):
             _loocv_scores(data, kernel, grid)
-        # one CPU: the calling thread runs both parts, one after the other
-        monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)
-        _loocv_scores(data, kernel, grid)
 
     def test_importing_the_package_loads_no_thread_pool(self):
         # concurrent.futures imports logging; only a multi-part LOO-CV

@@ -98,6 +98,12 @@ class TestConfigValidation:
             "synthetic": synthetic_block()})
         assert cfg.x_grid == (-1.6, -0.5, 0.3, 0.8, 1.6)
 
+    def test_unknown_kernel_is_refused_naming_the_kernels(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(acceptance_config(kernel="triangular"))
+        assert err.value.problems == [
+            'kernel must be "gaussian" or "epanechnikov"']
+
     def test_coverage_needs_data_and_methods(self):
         with pytest.raises(ConfigError) as err:
             config_from_dict({"scenario": "coverage_mse_sweep", "seed": 1})
@@ -519,6 +525,17 @@ class TestCoverageSweep:
             high = [float(r[2]) for r in rows
                     if float(r[0]) == lam and r[1] == "plugin"]
             assert low[0] <= high[0]
+
+    def test_level_below_two_to_the_minus_53_runs(self, tmp_path,
+                                                  airfoil_csv):
+        # 1 - 1e-17 is 1.0, whose normal quantile is infinite
+        cfg = self.coverage_config(airfoil_csv, beta_list=[1e-17, 0.5])
+        run_scenario(cfg, tmp_path / "out")
+        _, rows = read_rows(tmp_path / "out" / "coverage_mse_sweep.csv")
+        assert {r[1] for r in rows} == {"beta=1e-17", "plugin"}
+        for lam in {float(r[0]) for r in rows}:
+            fr = {r[1]: float(r[2]) for r in rows if float(r[0]) == lam}
+            assert fr["beta=1e-17"] <= fr["plugin"]
 
     def test_z_direct_mode(self, tmp_path, airfoil_csv):
         cfg = self.coverage_config(airfoil_csv)
