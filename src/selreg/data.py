@@ -190,8 +190,6 @@ class ShiftSplit:
 
 def _pick(seed: int, pool: np.ndarray, k: int) -> np.ndarray:
     """k distinct elements of pool, uniformly, via seeded uniform keys."""
-    if k == 0:
-        return pool[:0]
     keys = _uniforms(seed, pool.size)
     return pool[np.argsort(keys, kind="stable")[:k]]
 
@@ -268,36 +266,36 @@ def load_csv(path, has_header: bool = False,
     """Read a rectangular numeric CSV into a Dataset.
 
     The target column (if given) becomes the response vector; the remaining
-    columns become covariates, row order preserved. Non-numeric, NaN or
-    infinite cells and ragged rows raise with the offending location
-    (1-based file line numbers).
+    columns become covariates, row order preserved; a UTF-8 byte-order mark
+    is dropped. A non-numeric, NaN or infinite cell or a ragged row raises
+    naming "line N", the 1-based file line on which its record ends.
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for line_no, cells in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
+        if has_header:
+            next(reader, None)
+        for cells in reader:
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(cells)} cells, expected {width}")
+                raise ValueError(f"{path}: line {reader.line_num} has "
+                                 f"{len(cells)} cells, expected {width}")
             parsed = []
             for col, cell in enumerate(cells):
                 try:
                     value = float(cell.strip())
                 except ValueError:
                     raise ValueError(
-                        f"{path}: non-numeric cell at line {line_no}, column {col + 1}: "
-                        f"{cell.strip()!r}") from None
+                        f"{path}: non-numeric cell at line {reader.line_num}, "
+                        f"column {col + 1}: {cell.strip()!r}") from None
                 if not math.isfinite(value):
                     raise ValueError(
-                        f"{path}: non-finite cell at line {line_no}, column {col + 1}: "
-                        f"{cell.strip()!r}")
+                        f"{path}: non-finite cell at line {reader.line_num}, "
+                        f"column {col + 1}: {cell.strip()!r}")
                 parsed.append(value)
             rows.append(parsed)
     if not rows:

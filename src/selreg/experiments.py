@@ -66,10 +66,11 @@ class HPolicy:
 
 @dataclass(frozen=True)
 class DataSource:
-    """Coverage-sweep input: pre-split CSVs, or one CSV plus a pivot split."""
+    """Coverage-sweep input: pre-split CSVs, or one CSV plus a pivot split;
+    each is read by ``load_csv``, with a header row only if has_header."""
 
     target_column: int
-    has_header: bool = True
+    has_header: bool = False
     standardize: bool = True
     train_csv: Optional[str] = None
     test_csv: Optional[str] = None
@@ -82,18 +83,17 @@ class DataSource:
         return [p for p in (self.train_csv, self.test_csv, self.csv) if p]
 
     def load(self, seed: int) -> tuple[Dataset, Dataset]:
-        if self.csv is not None:
-            full = load_csv(self.csv, has_header=self.has_header,
+        def read(path) -> Dataset:
+            return load_csv(path, has_header=self.has_header,
                             target_column=self.target_column)
+
+        if self.csv is not None:
             split = ShiftSplit(pivot_feature=self.pivot_feature,
                                train_quantile=self.train_quantile,
                                swap_fraction=self.swap_fraction, seed=seed)
-            train, test = covariate_shift_split(full, split)
+            train, test = covariate_shift_split(read(self.csv), split)
         else:
-            train = load_csv(self.train_csv, has_header=self.has_header,
-                             target_column=self.target_column)
-            test = load_csv(self.test_csv, has_header=self.has_header,
-                            target_column=self.target_column)
+            train, test = read(self.train_csv), read(self.test_csv)
         if self.standardize:
             train, test, _ = standardize(train, test)
         return train, test
@@ -214,9 +214,10 @@ def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
     ev = evaluate_batch(fit, test.x)
     sq_err = np.square(ev.f_hat - test.y)
 
+    methods = _coverage_methods(cfg)
     rows = []
     for lam in cfg.lambdas:
-        for label, z in _coverage_methods(cfg):
+        for label, z in methods:
             accepted = decide_batch(ev, fit, lam, z)[0]
             mse = float(np.mean(sq_err[accepted])) if accepted.any() else None
             rows.append((lam, label, float(accepted.mean()), mse))
@@ -451,9 +452,7 @@ def _parse_synthetic(raw, problems) -> Optional[SyntheticSpec]:
                         if raw is None else
                         f"synthetic must be a JSON object, got {raw!r}")
         return None
-    unknown = set(raw) - {"covariates", "mean", "sd"}
-    if unknown:
-        problems.append(f"unknown synthetic keys: {sorted(unknown)}")
+    _parse_block(raw, (), "synthetic.", "", problems, ("covariates", "mean", "sd"))
     mean_fn = _parse_fn(raw.get("mean"), _MEAN_FNS, "synthetic.mean", problems)
     sd_fn = _parse_fn(raw.get("sd"), _SD_FNS, "synthetic.sd", problems)
     covariates = raw.get("covariates")

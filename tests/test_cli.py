@@ -191,6 +191,12 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_byte_order_mark_accepted(self, capsys, tmp_path):
+        marked = tmp_path / "excel.csv"
+        marked.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+        assert main(["validate", str(marked), "--target-col", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_empty_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")

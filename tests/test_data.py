@@ -360,6 +360,22 @@ class TestLoadCsv(object):
         with pytest.raises(ValueError, match=r"line 4, column 2: 'x'$"):
             load_csv(path, target_column=1)
 
+    def test_line_named_is_the_file_line_after_a_multiline_cell(self, tmp_path):
+        # the quoted cell holds a newline, so the third record ends on line 4
+        path = self.write(tmp_path, '1.0,2.0\n"3.0\n",4.0\n5.0,x\n')
+        with pytest.raises(ValueError, match=r"line 4, column 2: 'x'$"):
+            load_csv(path, target_column=1)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        text = b"1.0,2.0\n3.0,4.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want = load_csv(plain, target_column=1)
+        got = load_csv(marked, target_column=1)
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.y, want.y)
+
     def test_row_order_preserved(self, tmp_path):
         path = self.write(tmp_path, "9,1\n5,2\n7,3\n")
         ds = load_csv(path, target_column=1)

@@ -499,6 +499,24 @@ class TestBandwidthSelection:
         data = Dataset(x=[[0.0], [1.0], [2.0]], y=[0.0, 1.0, 0.0])
         assert select_bandwidth_loocv(data, GAUSS1, [0.1, 0.2, 0.4]) == picked
 
+    @pytest.mark.parametrize("edge", ["smallest", "largest"])
+    def test_selection_at_an_edge_of_the_grid(self, gauss1d, edge):
+        # a step response wants the narrowest window of the default grid;
+        # pure noise around a constant wants the widest of three narrow ones
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.uniform(-2, 2, size=200))[:, None]
+        if edge == "smallest":
+            data = Dataset(x=x, y=np.sign(x[:, 0]))
+            grid = default_bandwidth_grid(data)
+            want = grid[0]
+        else:
+            data = Dataset(x=x, y=1.0 + rng.normal(size=200))
+            grid = np.array([0.02, 0.05, 0.1])
+            want = 0.1
+        picked = select_bandwidth_loocv(data, gauss1d, grid)
+        assert picked == want
+        assert picked == grid[np.argmin(_loocv_scores(data, gauss1d, grid))]
+
     def test_grid_order_does_not_matter(self, gauss1d):
         rng = np.random.default_rng(17)
         data = Dataset(x=rng.uniform(-2, 2, size=(18, 1)),

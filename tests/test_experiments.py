@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from selreg.data import airfoil_like_spec, generate_synthetic
 from selreg.experiments import (ConfigError, Table, config_from_dict,
                                 run_scenario, write_csv)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def synthetic_block():
@@ -574,6 +577,31 @@ class TestCoverageSweep:
         run_scenario(rerun, "again")
         assert ((elsewhere / "again" / "coverage_mse_sweep.csv").read_bytes()
                 == (tmp_path / "out" / "coverage_mse_sweep.csv").read_bytes())
+
+    def test_has_header_defaults_to_false(self):
+        # every row of a headerless CSV reaches the split
+        config = json.loads((ROOT / "configs" / "coverage_sweep.json").read_text())
+        config["data"]["csv"] = str(ROOT / config["data"]["csv"])
+        del config["data"]["has_header"]
+        cfg = config_from_dict(config)
+        assert cfg.data.has_header is False
+        train, test = cfg.data.load(cfg.seed)
+        assert train.n + test.n == 1500
+
+    def test_header_row_without_has_header_named(self, tmp_path, airfoil_csv):
+        with_header = tmp_path / "with_header.csv"
+        with_header.write_text("a,b,c,d,e,y\n" + airfoil_csv.read_text(),
+                               encoding="utf-8")
+        cfg = self.coverage_config(with_header)
+        del cfg["data"]["has_header"]
+        with pytest.raises(ValueError, match=r"non-numeric cell at line 1, "
+                                             r"column 1: 'a'$"):
+            run_scenario(cfg, tmp_path / "out")
+        cfg["data"]["has_header"] = True
+        run_scenario(cfg, tmp_path / "out")
+        run_scenario(self.coverage_config(airfoil_csv), tmp_path / "plain")
+        assert ((tmp_path / "out" / "coverage_mse_sweep.csv").read_bytes()
+                == (tmp_path / "plain" / "coverage_mse_sweep.csv").read_bytes())
 
     def test_presplit_csv_path(self, tmp_path, airfoil_csv):
         from selreg import covariate_shift_split, ShiftSplit, load_csv

@@ -15,6 +15,7 @@ kernels (README, "Determinism"), so a CSV that differs fails with the count
 of differing rows, the first of them, and the arithmetic of this run.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -34,15 +35,32 @@ COMMITTED_ARITHMETIC = ("numpy 2.4.6, float64 exp loop X86_V4 (AVX-512), "
                         "OpenBLAS 0.3.31 on its SkylakeX kernels")
 
 
+def openblas_core():
+    """The name of the OpenBLAS kernels this process runs (picked for the CPU
+    or by OPENBLAS_CORETYPE), read from numpy's bundled OpenBLAS; None for a
+    numpy without that library or its symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def arithmetic() -> str:
-    """The numpy, float64 exp loop and OpenBLAS build of this process. The
-    configuration string names OpenBLAS's build, not the kernels it picked
-    for this CPU."""
+    """The numpy, float64 exp loop and OpenBLAS kernels of this process.
+    Without the kernels' name it gives OpenBLAS's configuration string,
+    which names its build, not the kernels it picked for this CPU."""
     (exp,) = opt_func_info(func_name="^exp$",
                            signature="float64")["exp"].values()
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
-    return (f"numpy {np.__version__}, float64 exp loop {exp['current']}, "
-            f"OpenBLAS configuration {blas.get('openblas configuration')!r}")
+    core = openblas_core()
+    return (f"numpy {np.__version__}, float64 exp loop {exp['current']}, " + (
+        f"OpenBLAS {blas.get('version')} on its {core} kernels" if core else
+        f"OpenBLAS configuration {blas.get('openblas configuration')!r}"))
 
 
 @pytest.mark.parametrize("name", ["acceptance_curve", "coverage_sweep",
