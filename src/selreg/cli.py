@@ -14,8 +14,8 @@ import sys
 
 from .abstention import AbstentionConfig, decide_from_evaluation
 from .data import load_csv
-from .estimators import evaluate_point
-from .experiments import ConfigError, HPolicy, run_scenario
+from .estimators import HPolicy, evaluate_point
+from .experiments import ConfigError, run_scenario
 from .kernels import KernelKind, kernel_spec
 
 

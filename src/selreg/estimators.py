@@ -66,9 +66,9 @@ class Dataset:
                          lambda y: y.shape == (self.n,))
 
     def _freeze(self, name, noun, shape_rule, shape_ok, column=False):
-        """Store field ``name`` as a C-contiguous, finite, read-only float
-        array; ``column`` makes a 1-D array a column first."""
-        values = np.ascontiguousarray(getattr(self, name), dtype=float)
+        """Store a C-contiguous, finite, read-only float copy of field
+        ``name``, which no caller aliases; ``column`` makes 1-D a column."""
+        values = np.array(getattr(self, name), dtype=float, order="C", ndmin=1)
         if column and values.ndim == 1:
             values = values.reshape(-1, 1)
         if not shape_ok(values):
@@ -303,14 +303,39 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     return float(grid[scores <= scores.min() * (1.0 + _TIE_RTOL)].min())
 
 
+@dataclass(frozen=True)
+class HPolicy:
+    """Bandwidth policy: LOO-CV, a fixed value, or h = c * n ** exponent."""
+
+    kind: str
+    h: Optional[float] = None
+    c: float = 1.0
+    exponent: float = -0.2
+    grid: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.kind not in ("fixed", "power", "loocv"):
+            raise ValueError(f"bandwidth policy kind must be \"fixed\", "
+                             f"\"power\" or \"loocv\", got {self.kind!r}")
+
+    def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:
+        """Fit rule for ``kernel``; LOO-CV searches ``grid``, the default if None."""
+        def rule(data: Dataset) -> FitState:
+            if self.kind == "fixed":
+                h = self.h
+            elif self.kind == "power":
+                h = self.c * data.n ** self.exponent
+            elif data.n < 3:
+                # too small for LOO-CV, and no h passes the density gate anyway:
+                # n K(0) < 4a for both kernels at every d, so any h will do
+                h = 1.0
+            else:
+                h = select_bandwidth_loocv(data, kernel, default_bandwidth_grid(data)
+                                           if self.grid is None else self.grid)
+            return FitState(train=data, kernel=kernel, h=h)
+        return rule
+
+
 def loocv_bandwidth(kernel: KernelSpec, grid=None) -> Callable[[Dataset], FitState]:
     """Fit rule selecting h by LOO-CV on ``grid`` (default grid if None)."""
-    def rule(data: Dataset) -> FitState:
-        if data.n < 3:
-            # too small for LOO-CV, and no h passes the density gate anyway:
-            # n K(0) < 4a for both kernels at every d, so any h will do
-            return FitState(train=data, kernel=kernel, h=1.0)
-        g = default_bandwidth_grid(data) if grid is None else grid
-        return FitState(train=data, kernel=kernel,
-                        h=select_bandwidth_loocv(data, kernel, g))
-    return rule
+    return HPolicy("loocv", grid=grid).fit_rule(kernel)

@@ -26,8 +26,8 @@ from .abstention import AbstentionConfig, critical_value, decide_batch
 from .data import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
                    covariate_shift_split, load_csv, mean_quadratic,
                    sd_heaviside, sd_sigmoid, standardize, table_fn)
-from .estimators import FitState, evaluate_batch, loocv_bandwidth
-from .kernels import KernelKind, KernelSpec, kernel_spec
+from .estimators import HPolicy, evaluate_batch
+from .kernels import KernelKind, kernel_spec
 from .risk import monte_carlo_expected_excess
 
 DIAGNOSTIC_POINTS = (-1.6, -0.5, 0.3, 0.8, 1.6)
@@ -42,26 +42,6 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
         self.problems = list(problems)
-
-
-@dataclass(frozen=True)
-class HPolicy:
-    """Bandwidth policy: LOO-CV, a fixed value, or h = c * n ** exponent."""
-
-    kind: str
-    h: Optional[float] = None
-    c: float = 1.0
-    exponent: float = -0.2
-    grid: Optional[tuple] = None
-
-    def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:
-        if self.kind == "loocv":
-            return loocv_bandwidth(kernel, grid=self.grid)
-
-        def rule(data: Dataset) -> FitState:
-            h = self.h if self.kind == "fixed" else self.c * data.n ** self.exponent
-            return FitState(train=data, kernel=kernel, h=h)
-        return rule
 
 
 @dataclass(frozen=True)

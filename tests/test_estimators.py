@@ -426,6 +426,10 @@ class TestBandwidthSelection:
         # n K(0) < 4a: even two samples on top of the query miss the floor
         assert data.n * kernel.peak < 4.0 * kernel.a
 
+    def test_policy_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="got 'lococv'$"):
+            estimators.HPolicy("lococv")
+
     @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
     def test_matches_bruteforce_oracle(self, kind):
         kernel = kernel_spec(kind, 1)
@@ -946,6 +950,15 @@ class TestDatasetValidation:
         data = Dataset(x=[[1.0]], y=[2.0])
         with pytest.raises(ValueError):
             data.x[0, 0] = 3.0
+        # ndarray inputs are copied: the caller's arrays stay writeable, and
+        # writing to one, a 1-D x or the base of a row slice, leaves the data
+        x2d, x1, y = np.zeros((3, 1)), np.zeros(3), np.zeros(3)
+        datasets = [Dataset(x=x2d, y=y), Dataset(x=x1, y=y),
+                    Dataset(x=x2d[:2], y=y[:2])]
+        x2d[0, 0] = x1[0] = y[0] = 99.0
+        for data in datasets:
+            assert not data.x.flags.writeable and not data.y.flags.writeable
+            assert data.x[0, 0] == 0.0 and data.y[0] == 0.0
 
     def test_fit_validation(self, gauss1d):
         data = Dataset(x=[[1.0]], y=[2.0])

@@ -247,6 +247,11 @@ class TestConfigValidation:
          "synthetic.mean.table.x"),
         (acceptance_config, "synthetic.sd",
          {"table": {"x": [0, 1], "y": [0, math.nan]}}, "synthetic.sd.table.y"),
+        (acceptance_config, "synthetic.mean",
+         {"table": {"x": [0, 1, 2], "y": [0, 1]}},
+         "invalid synthetic.mean table: table needs matching 1-D x and y"),
+        (coverage_config, "data.pivot_feature", None,
+         "data.pivot_feature is required with a single csv"),
     ])
     def test_value_the_parser_used_to_let_through_is_refused(
             self, tmp_path, make, key, value, field):
