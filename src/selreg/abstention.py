@@ -89,14 +89,14 @@ class Decision:
 def decide_batch(ev: PointEvaluation, fit: FitState, lam: float, z: float):
     """Apply the gate and the variance test to every point of an evaluation.
 
-    Returns the arrays (accepted, low_density, threshold), shaped like
-    ev.weight_denominator, so that sweeps over (lam, z) reuse one
-    evaluation. A mass below the smallest normal float fails the gate, with
-    a NaN threshold: evaluate_batch gives such masses as exactly 0, and a
-    subnormal one given by hand, where 2 / m overflows, is treated alike. A
-    negative threshold cannot be met (sigma2_hat >= 0); at lam = 0, allowed
-    for the coverage sweep's leftmost cell, it is +0 or -0.0, which a
-    sigma2_hat of exactly +0 meets.
+    Returns the arrays (accepted, low_density, threshold). lam and z
+    broadcast against the m points: (k, 1) columns decide k (lam, z) cells
+    in one call, as (k, m) accepted and threshold; low_density keeps the
+    evaluation's shape. A mass below the smallest normal float (the exact 0
+    of evaluate_batch, or a subnormal one given by hand, where 2 / m
+    overflows) fails the gate, with a NaN threshold. A negative threshold
+    cannot be met (sigma2_hat >= 0); at lam = 0 (the coverage sweep's first
+    cell) it is +0 or -0.0, which a sigma2_hat of exactly +0 meets.
     """
     mass = np.asarray(ev.weight_denominator, dtype=float)
     ratio = np.divide(2.0, mass, out=np.full(mass.shape, np.nan),

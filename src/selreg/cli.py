@@ -23,17 +23,16 @@ def _jsonable(value: float):
     return value if math.isfinite(value) else None
 
 
-def _checked_flags(args) -> tuple[float, float, list[float]]:
-    """(lambda, z, x) from the flags, all checked before any data is read."""
+def _checked_flags(args) -> tuple[float, float, list[float], HPolicy]:
+    """(lambda, z, x, policy) from the flags, checked before data is read."""
     if args.z is not None and not 0.0 <= args.z < math.inf:
         raise ValueError(f"--z must be a finite nonnegative real, got {args.z!r}")
-    if args.h is not None and not 0.0 < args.h < math.inf:
-        raise ValueError(f"--h must be a positive finite real, got {args.h!r}")
     try:
+        policy = HPolicy("loocv") if args.h is None else HPolicy("fixed", h=args.h)
         # with --z the level is unused; 0.5 lets lambda alone be checked
         cfg = AbstentionConfig(lam=args.lam,
                                beta=0.5 if args.beta is None else args.beta)
-    except ValueError as exc:  # its message starts with the flag's name
+    except ValueError as exc:  # each message starts with the flag's name
         raise ValueError(f"--{exc}") from None
     try:
         x = [float(v) for v in args.x.split(",")]
@@ -42,16 +41,15 @@ def _checked_flags(args) -> tuple[float, float, list[float]]:
     except ValueError:
         raise ValueError("--x must be comma-separated finite reals, "
                          f"got {args.x!r}") from None
-    return cfg.lam, cfg.z if args.z is None else args.z, x
+    return cfg.lam, cfg.z if args.z is None else args.z, x, policy
 
 
 def _cmd_decide(args) -> int:
-    lam, z, x = _checked_flags(args)
+    lam, z, x, policy = _checked_flags(args)
     data = load_csv(args.train, has_header=args.has_header,
                     target_column=args.target_col)
     if len(x) != data.d:
         raise ValueError(f"query point has {len(x)} coordinates, data has {data.d}")
-    policy = HPolicy("loocv") if args.h is None else HPolicy("fixed", h=args.h)
     fit = policy.fit_rule(kernel_spec(args.kernel, data.d))(data)
     decision = decide_from_evaluation(evaluate_point(fit, x), fit, lam, z)
     print(json.dumps({

@@ -55,6 +55,8 @@ class Uniform:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("uniform bounds must satisfy lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("uniform bounds must be finite")
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * u
@@ -68,6 +70,8 @@ class Normal:
     def __post_init__(self):
         if not (self.sd > 0.0):
             raise ValueError("normal sd must be positive")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sd)):
+            raise ValueError("normal mu and sd must be finite")
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self.mu + self.sd * normal_quantile(u)
@@ -96,6 +100,8 @@ def table_fn(xs, ys) -> Callable:
         raise ValueError("table needs matching 1-D x and y with >= 2 rows")
     if np.any(np.diff(xs) <= 0.0):
         raise ValueError("table x values must be strictly increasing")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("table x and y values must be finite")
 
     def fn(x):
         return np.interp(np.asarray(x, dtype=float), xs, ys)

@@ -317,6 +317,8 @@ class HPolicy:
         if self.kind not in ("fixed", "power", "loocv"):
             raise ValueError(f"bandwidth policy kind must be \"fixed\", "
                              f"\"power\" or \"loocv\", got {self.kind!r}")
+        if self.kind == "fixed" and (self.h is None or not 0.0 < self.h < math.inf):
+            raise ValueError(f"h must be a positive finite real, got {self.h!r}")
 
     def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:
         """Fit rule for ``kernel``; LOO-CV searches ``grid``, the default if None."""

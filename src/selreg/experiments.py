@@ -185,8 +185,8 @@ def _coverage_methods(cfg: ExperimentConfig) -> list[tuple[str, float]]:
 def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
     """Acceptance fraction and MSE over accepted test points per lambda.
 
-    The fit and the evaluation of the test points are shared across the
-    sweep; only the decision rule changes with (lambda, method). An empty
+    The fit, the evaluation of the test points and one decide_batch call
+    broadcast over (lambda, method, point) serve the whole sweep. An empty
     accepted set leaves the MSE cell blank.
     """
     train, test = cfg.data.load(cfg.seed)
@@ -195,12 +195,12 @@ def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
     sq_err = np.square(ev.f_hat - test.y)
 
     methods = _coverage_methods(cfg)
-    rows = []
-    for lam in cfg.lambdas:
-        for label, z in methods:
-            accepted = decide_batch(ev, fit, lam, z)[0]
-            mse = float(np.mean(sq_err[accepted])) if accepted.any() else None
-            rows.append((lam, label, float(accepted.mean()), mse))
+    accepted = decide_batch(ev, fit, np.reshape(cfg.lambdas, (-1, 1, 1)),
+                            np.reshape([z for _, z in methods], (-1, 1)))[0]
+    rows = [(lam, label, float(acc.mean()),
+             float(np.mean(sq_err[acc])) if acc.any() else None)
+            for lam, by_method in zip(cfg.lambdas, accepted)
+            for (label, _), acc in zip(methods, by_method)]
     return Table(header=("lambda", "method", "accept_fraction",
                          "mse_accepted"), rows=rows)
 
@@ -401,8 +401,10 @@ def _parse_h(raw, scenario: str, problems) -> HPolicy:
         ((kind, block),) = raw.items()
         block, prefix = (raw, "h.") if kind == "fixed" else (block, f"h.{kind}.")
         if kind in _H_FIELDS and isinstance(block, dict):
-            return HPolicy(kind=kind, **_parse_block(
-                block, _H_FIELDS[kind], prefix, scenario, problems))
+            fields = _parse_block(block, _H_FIELDS[kind], prefix, scenario, problems)
+            if kind == "fixed" and fields.get("h") is None:
+                return HPolicy(kind="loocv")  # h's problem is recorded
+            return HPolicy(kind=kind, **fields)
     problems.append("h must be \"loocv\", {\"fixed\": h}, {\"power\": {...}} "
                     "or {\"loocv\": {\"grid\": [...]}}")
     return HPolicy(kind="loocv")

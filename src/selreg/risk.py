@@ -7,7 +7,7 @@ labels need to be sampled. The pointwise excess then decomposes exactly as
     (f_hat - f)^2 * 1{accept} + |sigma^2 - lambda| * 1{accept != oracle}
 
 and Monte Carlo only averages over replicated training sets. Both risk
-functions score values elementwise: floats for one point, arrays for a grid.
+functions score elementwise and broadcast, so lam may be a (k, 1) column.
 """
 
 from __future__ import annotations
@@ -77,11 +77,11 @@ def monte_carlo_expected_excess(
 
     Each replicate r draws synthetic_sampler(spec)(n, derive_seed(seed, r)),
     fits once via fit_rule, evaluates the whole grid once, and scores that
-    evaluation under every config in cfgs against the spec's true mean and
-    noise scale. The report's arrays have one row per config and one column
-    per grid point, in the order of cfgs and x_grid. Replicates are
-    aggregated in index order, so results do not depend on scheduling; the
-    whole run is a pure function of (inputs, seed).
+    evaluation under all cfgs in one call each of decide_batch and
+    pointwise_excess, against the spec's true mean and noise scale. The
+    report's arrays have one row per config and one column per grid point,
+    in the order of cfgs and x_grid. Replicates are aggregated in index
+    order, so the run is a pure function of (inputs, seed).
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -92,6 +92,7 @@ def monte_carlo_expected_excess(
     sigma2 = np.square(sd)
     sample = synthetic_sampler(spec)
 
+    lam, z = np.reshape([(c.lam, c.z) for c in cfgs], (-1, 2)).T[..., None]
     excess = np.zeros((len(cfgs), len(points), replicates))
     accepted = np.zeros(excess.shape, dtype=bool)
     h = np.empty(replicates)
@@ -99,10 +100,9 @@ def monte_carlo_expected_excess(
         fit = fit_rule(sample(n, derive_seed(seed, r)))
         h[r] = fit.h
         ev = evaluate_batch(fit, points)
-        for c, cfg in enumerate(cfgs):
-            accepted[c, :, r] = decide_batch(ev, fit, cfg.lam, cfg.z)[0]
-            excess[c, :, r] = pointwise_excess(ev.f_hat, accepted[c, :, r],
-                                               mean, sigma2, cfg.lam)
+        accepted[..., r] = decide_batch(ev, fit, lam, z)[0]
+        excess[..., r] = pointwise_excess(ev.f_hat, accepted[..., r], mean,
+                                          sigma2, lam)
 
     stderr = (excess.std(axis=2, ddof=1) / math.sqrt(replicates)
               if replicates > 1 else np.zeros(excess.shape[:2]))

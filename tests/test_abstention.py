@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from selreg import (AbstentionConfig, Dataset, FitState, Reason, Verdict,
                     decide, decide_batch, kernel_spec)
-from selreg.abstention import decide_from_evaluation
+from selreg.abstention import critical_value, decide_from_evaluation
 from selreg.estimators import PointEvaluation, evaluate_batch, evaluate_point
 from selreg.normal import normal_quantile
 
@@ -320,6 +320,26 @@ class TestDecideBatch:
             assert accepted[i] == d.accepted
             assert low_density[i] == (d.reason is Reason.LOW_DENSITY)
             assert threshold[i] == d.threshold
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_columns_equal_scalar_calls_bit_for_bit(self, seed):
+        # a lam = 0 cell gives signed zero thresholds, beta = 0.5 a z of +0,
+        # and the two far points a zero mass and a NaN threshold
+        rng = np.random.default_rng(seed)
+        fit = random_fit(rng)
+        ev = evaluate_batch(fit, np.r_[rng.uniform(-3, 3, 23), -99, 99][:, None])
+        lam = [0.0, 0.36, 0.36, 1.5]
+        z = [Z95, Z95, critical_value(0.5), 3.0]
+        accepted, low_density, threshold = decide_batch(
+            ev, fit, np.reshape(lam, (4, 1)), np.reshape(z, (4, 1)))
+        assert accepted.shape == threshold.shape == (4, 25)
+        assert low_density.shape == ev.weight_denominator.shape == (25,)
+        for k in range(4):
+            one = decide_batch(ev, fit, lam[k], z[k])
+            assert one[0].tobytes() == accepted[k].tobytes()
+            assert one[1].tobytes() == low_density.tobytes()
+            assert one[2].tobytes() == threshold[k].tobytes()
 
     def test_zero_mass_rows(self):
         fit = make_fit(np.linspace(-0.1, 0.1, 10)[:, None], np.arange(10.0),

@@ -59,6 +59,14 @@ class TestNamedFunctions:
         with pytest.raises(ValueError):
             table_fn([0.0, 0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("xs, ys", [([0.0, math.nan], [0.0, 1.0]),
+                                        ([-math.inf, 0.0], [0.0, 1.0]),
+                                        ([0.0, 1.0], [0.0, math.inf])])
+    def test_table_fn_refuses_nonfinite_values(self, xs, ys):
+        with pytest.raises(ValueError, match="^table x and y values must be "
+                                             "finite$"):
+            table_fn(xs, ys)
+
 
 class TestSyntheticSpecTruth:
     @staticmethod
@@ -154,10 +162,14 @@ class TestGenerateSynthetic:
         assert np.all(ds.x[:, 1] >= 0.0) and np.all(ds.x[:, 1] <= 22.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must satisfy lo < hi"):
             Uniform(2.0, -2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must satisfy lo < hi"):
+            Uniform(math.nan, 0.0)
+        with pytest.raises(ValueError, match="sd must be positive"):
             Normal(0.0, 0.0)
+        with pytest.raises(ValueError, match="sd must be positive"):
+            Normal(0.0, math.nan)
         with pytest.raises(ValueError):
             SyntheticSpec(covariate_dists=(), mean_fn=mean_quadratic,
                           sd_fn=sd_sigmoid, n=5, seed=0)
@@ -165,6 +177,15 @@ class TestGenerateSynthetic:
             SyntheticSpec(covariate_dists=(Uniform(0, 1),),
                           mean_fn=mean_quadratic, sd_fn=sd_sigmoid,
                           n=0, seed=0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Uniform(-math.inf, 0.0), "uniform bounds must be finite"),
+        (lambda: Uniform(0.0, math.inf), "uniform bounds must be finite"),
+        (lambda: Normal(math.nan, 1.0), "normal mu and sd must be finite"),
+        (lambda: Normal(0.0, math.inf), "normal mu and sd must be finite")])
+    def test_distributions_refuse_nonfinite_parameters(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestDeriveSeed:

@@ -430,6 +430,12 @@ class TestBandwidthSelection:
         with pytest.raises(ValueError, match="got 'lococv'$"):
             estimators.HPolicy("lococv")
 
+    @pytest.mark.parametrize("h", [None, 0.0, -1.0, math.nan, math.inf])
+    def test_fixed_policy_refuses_an_h_it_cannot_fit(self, h):
+        with pytest.raises(ValueError, match=r"^h must be a positive finite "
+                                             rf"real, got {h!r}$"):
+            estimators.HPolicy("fixed", h=h)
+
     @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
     def test_matches_bruteforce_oracle(self, kind):
         kernel = kernel_spec(kind, 1)

@@ -121,6 +121,7 @@ class TestConfigValidation:
         ("beta", "x", "beta"),
         ("beta", [0.05], "beta"),
         ("h", {"fixed": "x"}, "h.fixed"),
+        ("h", {"fixed": None}, "h.fixed"),
         ("h", {"power": {"c": "x"}}, "h.power.c"),
         ("h", {"loocv": {"grid": [0.1, "x"]}}, "h.loocv.grid[1]"),
         ("x_grid", {"linspace": [1, 2]}, "x_grid.linspace"),

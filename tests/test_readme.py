@@ -21,3 +21,4 @@ def test_library_examples_run_in_order_in_one_namespace():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["accepted"].shape == namespace["excess"].shape == (81,)
+    assert namespace["accepted_by_z"].shape == (2, 81)

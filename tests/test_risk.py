@@ -179,15 +179,18 @@ class TestMonteCarlo(object):
         assert report.h.tolist() == picks
 
     def test_methods_share_replicates(self, sigmoid_spec):
-        testing = AbstentionConfig(lam=0.36, beta=0.05)
-        plugin = AbstentionConfig(lam=0.36, beta=0.5)
-        both = self.run(sigmoid_spec, cfgs=[testing, plugin])
-        for c, cfg in enumerate((testing, plugin)):
+        # configs of different lam and beta, decided in one call per
+        # replicate, equal single-config runs bit for bit
+        cfgs = [AbstentionConfig(lam=0.36, beta=0.05),
+                AbstentionConfig(lam=0.2, beta=0.5),
+                AbstentionConfig(lam=1.0, beta=0.01)]
+        all_three = self.run(sigmoid_spec, cfgs=cfgs)
+        for c, cfg in enumerate(cfgs):
             alone = self.run(sigmoid_spec, cfgs=[cfg])
             for name in ("expected_excess", "mc_stderr", "accept_fraction"):
-                assert np.array_equal(getattr(both, name)[c],
-                                      getattr(alone, name)[0])
-            assert np.array_equal(both.h, alone.h)
+                assert (getattr(all_three, name)[c].tobytes()
+                        == getattr(alone, name)[0].tobytes())
+            assert all_three.h.tobytes() == alone.h.tobytes()
 
     def test_rejects_bad_arguments(self, sigmoid_spec):
         with pytest.raises(ValueError):
