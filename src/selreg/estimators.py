@@ -18,16 +18,19 @@ two matrix products of at most 2^18 multiply-adds, a size a threaded BLAS
 such as OpenBLAS runs on the calling thread. When the kernel matrix takes
 more than one block (n > 362), its triangle is cut into _PARTS = 2
 contiguous parts of about equal work, each with its own block buffers and
-sums, run on a standard-library thread pool of one thread per part, on any
-number of CPUs. The parts' sums are added in part order, so every score has
-the same bits however the threads are scheduled. Memory: one block per part
-(at most _BLOCK shapes and as many squared distances, 2 MB) plus
-2 * len(grid) * n floats of sums per part.
+sums, run on one ``threading.Thread`` per part, on any number of CPUs. The
+parts' sums are added in part order, so every score has the same bits
+however the threads are scheduled. Memory: one block per part (at most
+_BLOCK shapes and as many squared distances, 2 MB) plus 2 * len(grid) * n
+floats of sums per part, and nothing else of len(grid) * n floats: the
+scores are finished inside the first part's sums.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -251,7 +254,7 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     part_sums = np.zeros((len(parts), grid.size, n, 2))
 
     # every part's block buffers, made by the calling thread: what the
-    # short-lived pool threads allocate stays in their malloc arenas
+    # short-lived part threads allocate stays in their malloc arenas
     bufs = np.empty((len(parts), 2, step * n))
 
     def accumulate(p: int) -> None:
@@ -275,17 +278,35 @@ def _loocv_scores(data: Dataset, kernel: KernelSpec, grid) -> np.ndarray:
     if len(parts) == 1:
         accumulate(0)
     else:
-        # imported here: it loads logging, which no one-block fit needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(len(parts)) as pool:  # leaving it joins them
-            list(pool.map(accumulate, range(len(parts))))  # raises any error
+        errors = [None] * len(parts)
 
-    sums = part_sums.sum(axis=0)  # in part order, as a loop of += would add
+        def run(p: int) -> None:
+            try:
+                accumulate(p)
+            except BaseException as exc:  # raised again on the calling thread
+                errors[p] = exc
+
+        threads = [threading.Thread(target=run, args=(p,))
+                   for p in range(len(parts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    # the scores are finished in place, in part 0's sums
+    sums = part_sums[0]
+    for more in part_sums[1:]:  # in part order, as part_sums.sum(axis=0) adds
+        sums += more
     mass, weighted = sums[..., 0], sums[..., 1]
-    pred = np.divide(weighted, mass, out=np.full(mass.shape, y.mean()),
-                     where=mass > 0.0)
-    # a row sum of a C-contiguous array has the bits of the 1-D sum
-    return np.square(y - pred).sum(axis=1)
+    positive = mass > 0.0
+    pred = np.divide(weighted, mass, out=weighted, where=positive)
+    np.copyto(pred, y.mean(), where=~positive)
+    err = np.square(np.subtract(y, pred, out=pred), out=pred)
+    # a row sum of a strided row has the bits of the contiguous 1-D sum
+    return err.sum(axis=1)
 
 
 def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
@@ -303,6 +324,14 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     return float(grid[scores <= scores.min() * (1.0 + _TIE_RTOL)].min())
 
 
+def _require_real(name: str, value, positive: bool = False) -> None:
+    """Refuse a ``value`` of field ``name`` that is not a finite real, or
+    not positive when ``positive``."""
+    low, demand = (0.0, "a positive") if positive else (-math.inf, "a")
+    if not isinstance(value, numbers.Real) or not low < value < math.inf:
+        raise ValueError(f"{name} must be {demand} finite real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HPolicy:
     """Bandwidth policy: LOO-CV, a fixed value, or h = c * n ** exponent."""
@@ -317,8 +346,11 @@ class HPolicy:
         if self.kind not in ("fixed", "power", "loocv"):
             raise ValueError(f"bandwidth policy kind must be \"fixed\", "
                              f"\"power\" or \"loocv\", got {self.kind!r}")
-        if self.kind == "fixed" and (self.h is None or not 0.0 < self.h < math.inf):
-            raise ValueError(f"h must be a positive finite real, got {self.h!r}")
+        if self.kind == "fixed":
+            _require_real("h", self.h, positive=True)
+        elif self.kind == "power":
+            _require_real("c", self.c, positive=True)
+            _require_real("exponent", self.exponent)
 
     def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:
         """Fit rule for ``kernel``; LOO-CV searches ``grid``, the default if None."""

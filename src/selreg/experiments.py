@@ -9,7 +9,6 @@ with the same config yields byte-identical CSV files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import numbers
 import sys
@@ -216,6 +215,7 @@ SCENARIOS = tuple(_RUNNERS)
 
 
 def _git_blob_sha1(path) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL's libcrypto
     blob = Path(path).read_bytes()
     return hashlib.sha1(b"blob %d\0" % len(blob) + blob).hexdigest()
 
@@ -402,8 +402,8 @@ def _parse_h(raw, scenario: str, problems) -> HPolicy:
         block, prefix = (raw, "h.") if kind == "fixed" else (block, f"h.{kind}.")
         if kind in _H_FIELDS and isinstance(block, dict):
             fields = _parse_block(block, _H_FIELDS[kind], prefix, scenario, problems)
-            if kind == "fixed" and fields.get("h") is None:
-                return HPolicy(kind="loocv")  # h's problem is recorded
+            if None in fields.values() or (kind == "fixed" and "h" not in fields):
+                return HPolicy(kind="loocv")  # the field's problem is recorded
             return HPolicy(kind=kind, **fields)
     problems.append("h must be \"loocv\", {\"fixed\": h}, {\"power\": {...}} "
                     "or {\"loocv\": {\"grid\": [...]}}")

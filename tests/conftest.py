@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,3 +35,13 @@ def make_fit(x, y, kernel=None, h=1.0):
     return FitState(train=Dataset(x=np.asarray(x, dtype=float),
                                   y=np.asarray(y, dtype=float)),
                     kernel=kernel, h=h)
+
+
+def run_python(code):
+    """The standard output of ``python -c code`` with this checkout's src/
+    first on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, env=env).stdout

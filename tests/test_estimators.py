@@ -1,10 +1,8 @@
-import concurrent.futures
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +20,7 @@ from selreg.estimators import (_BLOCK, _loocv_scores, _sq_dists,
                                evaluate_point, select_bandwidth_loocv)
 from selreg.kernels import eval_sq, shape_sq
 
-from conftest import make_fit
+from conftest import make_fit, run_python
 
 GAUSS1 = kernel_spec("gaussian", 1)
 
@@ -430,11 +428,28 @@ class TestBandwidthSelection:
         with pytest.raises(ValueError, match="got 'lococv'$"):
             estimators.HPolicy("lococv")
 
-    @pytest.mark.parametrize("h", [None, 0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("h", [None, 0.0, -1.0, math.nan, math.inf, "1.0"])
     def test_fixed_policy_refuses_an_h_it_cannot_fit(self, h):
         with pytest.raises(ValueError, match=r"^h must be a positive finite "
                                              rf"real, got {h!r}$"):
             estimators.HPolicy("fixed", h=h)
+
+    @pytest.mark.parametrize("field,value", [
+        ("c", None), ("c", 0.0), ("c", -1.0), ("c", math.nan), ("c", math.inf),
+        ("c", "2"), ("exponent", None), ("exponent", math.nan),
+        ("exponent", math.inf), ("exponent", -math.inf), ("exponent", "-0.2")])
+    def test_power_policy_refuses_a_rule_it_cannot_fit(self, field, value):
+        demand = "a positive finite real" if field == "c" else "a finite real"
+        with pytest.raises(ValueError, match=rf"^{field} must be {demand}, "
+                                             rf"got {value!r}$"):
+            estimators.HPolicy("power", **{field: value})
+
+    @pytest.mark.parametrize("c,exponent", [(1.0, -0.2), (0.5, 0.0), (2.0, 0.3)])
+    def test_power_policy_fits_c_n_to_the_exponent(self, c, exponent):
+        data = Dataset(x=np.linspace(0.0, 1.0, 10)[:, None], y=np.zeros(10))
+        fit = estimators.HPolicy("power", c=c, exponent=exponent).fit_rule(
+            kernel_spec("gaussian", 1))(data)
+        assert fit.h == c * 10 ** exponent
 
     @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
     def test_matches_bruteforce_oracle(self, kind):
@@ -570,18 +585,20 @@ def loocv_case(kind, d, n=40):
 
 
 class NumpySpy:
-    """numpy as seen by ``estimators``, keeping every array that ``zeros``
-    makes: in LOO-CV that is the parts' sums."""
+    """numpy as seen by ``estimators``, keeping copies of the first
+    ``divide`` call's operands: in LOO-CV those are the parts' summed
+    shape-weighted y and shape mass, read before the finish overwrites them."""
 
     def __init__(self):
-        self.zeros_made = []
+        self.divided = None
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def zeros(self, *args, **kwargs):
-        self.zeros_made.append(np.zeros(*args, **kwargs))
-        return self.zeros_made[-1]
+    def divide(self, a, b, *args, **kwargs):
+        if self.divided is None:
+            self.divided = (np.array(a), np.array(b))
+        return np.divide(a, b, *args, **kwargs)
 
 
 def scores_and_per_h_sums(monkeypatch, data, kernel, grid):
@@ -592,9 +609,7 @@ def scores_and_per_h_sums(monkeypatch, data, kernel, grid):
     with monkeypatch.context() as m:
         m.setattr(estimators, "np", spy)
         scores = _loocv_scores(data, kernel, grid)
-    (part_sums,) = spy.zeros_made
-    sums = part_sums.sum(axis=0)
-    mass, weighted = sums[..., 0], sums[..., 1]
+    weighted, mass = spy.divided
     y = data.y
     ok = mass > 0.0
     pred = np.where(ok, weighted / np.where(ok, mass, 1.0), y.mean())
@@ -703,67 +718,89 @@ class TestLoocvScoreSums:
         assert scores.tobytes() == per_h.tobytes()
 
 
+class TestLoocvMemory:
+    @pytest.mark.parametrize("case", ["mc_shaped", "airfoil_csv"])
+    def test_scores_need_no_more_than_blocks_and_sums(self, case):
+        # block buffers and part sums, and at most two more len(grid) x n
+        # float arrays' worth: the scores are finished in the part sums
+        data = (mc_shaped(2000) if case == "mc_shaped"
+                else load_csv(AIRFOIL_CSV, target_column=5))
+        grid = default_bandwidth_grid(data)
+        n = data.n
+        step = min(n, max(1, _BLOCK // n))
+        parts = len(estimators._loocv_parts(n, step))
+        assert parts > 1
+        bound = 8 * (parts * 2 * step * n + parts * grid.size * n * 2
+                     + 2 * grid.size * n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _loocv_scores(data, kernel_spec("gaussian", data.d), grid)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
 def no_thread(*args, **kwargs):
     raise AssertionError("a thread was started")
 
 
 def serial_scores(monkeypatch, data, kernel, grid):
-    """LOO-CV's scores, with ThreadPoolExecutor replaced by a stand-in that
-    runs the same parts in order on the calling thread; and the thread count
-    each stand-in pool was asked for."""
-    asked = []
+    """LOO-CV's scores, with threading.Thread replaced by a stand-in that
+    runs each part on the calling thread when it is started, so the parts
+    run in order; and the number of stand-in threads made."""
+    made = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    class SerialThread:
+        def __init__(self, target, args=()):
+            self.target, self.args = target, args
+            made.append(self)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target(*self.args)
 
-        def __exit__(self, *exc_info):
+        def join(self):
             return None
 
-        def map(self, fn, items):
-            return map(fn, items)
-
     with monkeypatch.context() as m:
-        m.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        m.setattr(threading, "Thread", no_thread)
+        m.setattr(threading, "Thread", SerialThread)
         scores = _loocv_scores(data, kernel, grid)
-    return scores, asked
+    return scores, len(made)
 
 
-def recorded_pool_sizes(monkeypatch):
-    """A list that receives the thread count of every pool LOO-CV starts."""
-    sizes = []
+def recorded_threads(monkeypatch):
+    """A list that receives every thread LOO-CV starts."""
+    started = []
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    return sizes
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
 
 
 class TestLoocvThreads:
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     @pytest.mark.parametrize("kind,d", KERNEL_DIMS)
-    def test_pooled_scores_have_the_serial_bits(self, monkeypatch, kind, d,
+    def test_threaded_scores_have_the_serial_bits(self, monkeypatch, kind, d,
                                                 budget):
         # a thread writing into another part's sums would change the scores
         monkeypatch.setattr(estimators, "_BLOCK", budget)
         data, kernel, grid = loocv_case(kind, d)
         step = min(data.n, max(1, budget // data.n))
         parts = len(estimators._loocv_parts(data.n, step))
-        serial, asked = serial_scores(monkeypatch, data, kernel, grid)
-        sizes = recorded_pool_sizes(monkeypatch)
+        serial, made = serial_scores(monkeypatch, data, kernel, grid)
+        started = recorded_threads(monkeypatch)
         before = threading.active_count()
-        pooled = _loocv_scores(data, kernel, grid)
+        threaded = _loocv_scores(data, kernel, grid)
         assert threading.active_count() == before
-        # one thread per part; a one-block triangle starts no pool
-        assert sizes == asked == ([] if parts == 1 else [parts])
-        assert np.array_equal(pooled, serial)
+        # one thread per part, each joined; a one-block triangle starts none
+        assert len(started) == made == (0 if parts == 1 else parts)
+        assert not any(t.is_alive() for t in started)
+        assert np.array_equal(threaded, serial)
 
     @pytest.mark.parametrize("failing", ["first", "last"])
     def test_part_exception_reaches_the_caller(self, monkeypatch, failing):
@@ -821,7 +858,7 @@ class TestLoocvThreads:
         data, kernel, grid = loocv_case("gaussian", 2)
         assert len(estimators._loocv_parts(data.n, 1)) == 7
         alone, _ = serial_scores(monkeypatch, data, kernel, grid)
-        sizes = recorded_pool_sizes(monkeypatch)
+        started = recorded_threads(monkeypatch)
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -831,7 +868,8 @@ class TestLoocvThreads:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
-        assert sizes == [7, 7, 7]
+        assert len(started) == 3 * 7
+        assert not any(t.is_alive() for t in started)
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # at the default budget one block holds n = 362 rows, not 363
@@ -843,17 +881,20 @@ class TestLoocvThreads:
         with pytest.raises(AssertionError, match="a thread was started"):
             _loocv_scores(data, kernel, grid)
 
-    def test_importing_the_package_loads_no_thread_pool(self):
-        # concurrent.futures imports logging; only a multi-part LOO-CV
-        # call loads them
-        code = ("import sys, selreg, selreg.cli, selreg.experiments; "
+    @pytest.mark.parametrize("n", [0, 400])
+    def test_fits_load_no_thread_pool(self, n):
+        # concurrent.futures imports logging; neither importing the package
+        # nor a LOO-CV fit, one-block or multi-part (n = 400), loads them
+        code = ("import sys, numpy as np, selreg, selreg.cli, selreg.experiments\n"
+                "from selreg import Dataset, estimators, kernel_spec\n"
+                f"n = {n}\n"
+                "if n:\n"
+                "    x = np.linspace(-2.0, 2.0, n)[:, None]\n"
+                "    data = Dataset(x=x, y=np.sin(x[:, 0]))\n"
+                "    assert len(estimators._loocv_parts(n, estimators._BLOCK // n)) > 1\n"
+                "    estimators.loocv_bandwidth(kernel_spec('gaussian', 1))(data)\n"
                 "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
-        src = Path(estimators.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True, env=env).stdout
-        assert out.strip() == "[]"
+        assert run_python(code).strip() == "[]"
 
 
 def plain_shape_sq(kernel, sq, scale=1.0, out=None, sq_max=None):

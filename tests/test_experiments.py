@@ -11,6 +11,8 @@ from selreg.data import airfoil_like_spec, generate_synthetic
 from selreg.experiments import (ConfigError, Table, config_from_dict,
                                 run_scenario, write_csv)
 
+from conftest import run_python
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -146,6 +148,20 @@ class TestConfigValidation:
             config_from_dict(bad)
         assert any(p.startswith(field) for p in err.value.problems)
         assert any("seed" in p for p in err.value.problems)  # still collected
+
+    @pytest.mark.parametrize("power,problems", [
+        ({"c": -1.0}, ["h.power.c must be a positive finite real, got -1.0"]),
+        ({"c": "x"}, ["h.power.c must be a finite real, got 'x'"]),
+        ({"c": 1.0, "exponent": True},
+         ["h.power.exponent must be a finite real, got True"]),
+        ({"c": 0.0, "exponent": None},
+         ["h.power.c must be a positive finite real, got 0.0"]),
+    ])
+    def test_bad_power_rule_gives_only_its_field_problem(self, power, problems):
+        # the policy refuses such a rule, so none is built from it
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(acceptance_config(h={"power": power}))
+        assert err.value.problems == problems
 
     @pytest.mark.parametrize("config", [[], "acceptance_curve", None])
     def test_config_must_be_an_object(self, config):
@@ -632,3 +648,11 @@ class TestCoverageSweep:
         run_scenario(self.coverage_config(airfoil_csv), tmp_path / "split")
         via_split = (tmp_path / "split" / "coverage_mse_sweep.csv").read_bytes()
         assert direct == via_split
+
+
+def test_importing_the_package_loads_no_hashlib():
+    # hashlib loads OpenSSL's libcrypto; only the coverage sweep's manifest
+    # hashes, so every other process, such as ``selreg decide``, goes without
+    code = ("import sys, selreg, selreg.cli, selreg.experiments; "
+            "print('hashlib' in sys.modules)")
+    assert run_python(code).strip() == "False"
