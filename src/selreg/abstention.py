@@ -20,12 +20,12 @@ decide_from_evaluation are its one-point views.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FitState, PointEvaluation, evaluate_point
+from .estimators import (_POSITIVE, FitState, PointEvaluation,
+                         _require_real, evaluate_point)
 from .kernels import _SMALLEST_NORMAL
 from .normal import normal_quantile
 
@@ -39,6 +39,10 @@ class Reason(enum.Enum):
     ACCEPTED = "accepted"
     LOW_DENSITY = "low_density"
     VARIANCE_TEST_FAILED = "variance_test_failed"
+
+
+# the (predicate, demand) rule of a test level, as _require_real takes it
+_LEVEL = (lambda v: 0.0 < v <= 0.5, "lie in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,8 @@ class AbstentionConfig:
     z: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.lam < math.inf):
-            raise ValueError(f"lambda must be a positive finite real, "
-                             f"got {float(self.lam)!r}")
-        if not (0.0 < self.beta <= 0.5):
-            raise ValueError(f"beta must lie in (0, 0.5], "
-                             f"got {float(self.beta)!r}")
+        _require_real("lambda", self.lam, _POSITIVE)
+        _require_real("beta", self.beta, _LEVEL)
         object.__setattr__(self, "z", critical_value(self.beta))
 
 

@@ -12,9 +12,9 @@ import json
 import math
 import sys
 
-from .abstention import AbstentionConfig, decide_from_evaluation
+from .abstention import AbstentionConfig, decide
 from .data import load_csv
-from .estimators import HPolicy, evaluate_point
+from .estimators import HPolicy
 from .experiments import ConfigError, run_scenario
 from .kernels import KernelKind, kernel_spec
 
@@ -23,15 +23,11 @@ def _jsonable(value: float):
     return value if math.isfinite(value) else None
 
 
-def _checked_flags(args) -> tuple[float, float, list[float], HPolicy]:
-    """(lambda, z, x, policy) from the flags, checked before data is read."""
-    if args.z is not None and not 0.0 <= args.z < math.inf:
-        raise ValueError(f"--z must be a finite nonnegative real, got {args.z!r}")
+def _checked_flags(args) -> tuple[AbstentionConfig, list[float], HPolicy]:
+    """(config, x, policy) from the flags, checked before data is read."""
     try:
         policy = HPolicy("loocv") if args.h is None else HPolicy("fixed", h=args.h)
-        # with --z the level is unused; 0.5 lets lambda alone be checked
-        cfg = AbstentionConfig(lam=args.lam,
-                               beta=0.5 if args.beta is None else args.beta)
+        cfg = AbstentionConfig(lam=args.lam, beta=args.beta)
     except ValueError as exc:  # each message starts with the flag's name
         raise ValueError(f"--{exc}") from None
     try:
@@ -41,17 +37,17 @@ def _checked_flags(args) -> tuple[float, float, list[float], HPolicy]:
     except ValueError:
         raise ValueError("--x must be comma-separated finite reals, "
                          f"got {args.x!r}") from None
-    return cfg.lam, cfg.z if args.z is None else args.z, x, policy
+    return cfg, x, policy
 
 
 def _cmd_decide(args) -> int:
-    lam, z, x, policy = _checked_flags(args)
+    cfg, x, policy = _checked_flags(args)
     data = load_csv(args.train, has_header=args.has_header,
                     target_column=args.target_col)
     if len(x) != data.d:
         raise ValueError(f"query point has {len(x)} coordinates, data has {data.d}")
     fit = policy.fit_rule(kernel_spec(args.kernel, data.d))(data)
-    decision = decide_from_evaluation(evaluate_point(fit, x), fit, lam, z)
+    decision = decide(fit, x, cfg)
     print(json.dumps({
         "verdict": decision.verdict.value,
         "reason": decision.reason.value,
@@ -99,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="query point, comma-separated reals")
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="abstention cost")
-    level = p.add_mutually_exclusive_group(required=True)
-    level.add_argument("--beta", type=float, help="test significance level")
-    level.add_argument("--z", type=float, help="critical value given directly")
+    p.add_argument("--beta", type=float, required=True,
+                   help="test significance level")
     band = p.add_mutually_exclusive_group(required=True)
     band.add_argument("--h", type=float, help="bandwidth")
     band.add_argument("--h-loocv", action="store_true",

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .estimators import Dataset
+from .estimators import Dataset, _require_real
 from .normal import normal_quantile
 
 _MASK64 = (1 << 64) - 1
@@ -171,6 +171,11 @@ def synthetic_sampler(spec: SyntheticSpec) -> Callable[[int, int], Dataset]:
     return sample
 
 
+# (predicate, demand) rules of ShiftSplit's train_quantile and swap_fraction
+_QUANTILE = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_FRACTION = (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ShiftSplit:
     """Pivot-feature covariate-shift split.
@@ -188,10 +193,8 @@ class ShiftSplit:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.train_quantile < 1.0):
-            raise ValueError("train_quantile must lie in (0, 1)")
-        if not (0.0 <= self.swap_fraction < 1.0):
-            raise ValueError("swap_fraction must lie in [0, 1)")
+        _require_real("train_quantile", self.train_quantile, _QUANTILE)
+        _require_real("swap_fraction", self.swap_fraction, _FRACTION)
 
 
 def _pick(seed: int, pool: np.ndarray, k: int) -> np.ndarray:

@@ -54,6 +54,26 @@ _GRID_SIZE = 30  # bandwidths in the default LOO-CV grid
 _PARTS = 2
 
 
+# a (predicate, demand) rule of _require_real and of experiment config fields
+_POSITIVE = (lambda v: v > 0.0, "be a positive finite real")
+
+
+def _require_real(name: str, value, rule=(lambda v: True, "be a finite real")):
+    """``value`` of field ``name`` as a float, refused unless it is a real
+    number (a bool is not one), finite and passes ``rule``'s predicate: the
+    message "<name> must <demand>, got <value>" prints a real as a float."""
+    number = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the floats
+            number = math.inf
+    if number is None or not (math.isfinite(number) and rule[0](number)):
+        raise ValueError(f"{name} must {rule[1]}, "
+                         f"got {value if number is None else number!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Covariate matrix (n x d) plus optional response vector of length n."""
@@ -101,13 +121,10 @@ class FitState:
     def __post_init__(self):
         if self.train.y is None:
             raise ValueError("fitting requires responses")
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"bandwidth must be a positive finite real, "
-                             f"got {float(self.h)!r}")
+        h = _require_real("bandwidth", self.h, _POSITIVE)
         # only p_hat = mass / (n h ** d) divides by h ** d, the abstention
         # rule reads the mass itself; below the smallest normal float p_hat
         # loses its precision or overflows to inf
-        h = float(self.h)
         try:
             volume = h ** self.train.d
         except OverflowError:
@@ -324,14 +341,6 @@ def select_bandwidth_loocv(data: Dataset, kernel: KernelSpec, grid) -> float:
     return float(grid[scores <= scores.min() * (1.0 + _TIE_RTOL)].min())
 
 
-def _require_real(name: str, value, positive: bool = False) -> None:
-    """Refuse a ``value`` of field ``name`` that is not a finite real, or
-    not positive when ``positive``."""
-    low, demand = (0.0, "a positive") if positive else (-math.inf, "a")
-    if not isinstance(value, numbers.Real) or not low < value < math.inf:
-        raise ValueError(f"{name} must be {demand} finite real, got {value!r}")
-
-
 @dataclass(frozen=True)
 class HPolicy:
     """Bandwidth policy: LOO-CV, a fixed value, or h = c * n ** exponent."""
@@ -347,9 +356,9 @@ class HPolicy:
             raise ValueError(f"bandwidth policy kind must be \"fixed\", "
                              f"\"power\" or \"loocv\", got {self.kind!r}")
         if self.kind == "fixed":
-            _require_real("h", self.h, positive=True)
+            _require_real("h", self.h, _POSITIVE)
         elif self.kind == "power":
-            _require_real("c", self.c, positive=True)
+            _require_real("c", self.c, _POSITIVE)
             _require_real("exponent", self.exponent)
 
     def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:

@@ -21,11 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .abstention import AbstentionConfig, critical_value, decide_batch
-from .data import (Dataset, Normal, ShiftSplit, SyntheticSpec, Uniform,
-                   covariate_shift_split, load_csv, mean_quadratic,
-                   sd_heaviside, sd_sigmoid, standardize, table_fn)
-from .estimators import HPolicy, evaluate_batch
+from .abstention import _LEVEL, AbstentionConfig, critical_value, decide_batch
+from .data import (_FRACTION, _QUANTILE, Dataset, Normal, ShiftSplit,
+                   SyntheticSpec, Uniform, covariate_shift_split, load_csv,
+                   mean_quadratic, sd_heaviside, sd_sigmoid, standardize,
+                   table_fn)
+from .estimators import _POSITIVE, HPolicy, evaluate_batch
 from .kernels import KernelKind, kernel_spec
 from .risk import monte_carlo_expected_excess
 
@@ -86,7 +87,6 @@ class ExperimentConfig:
     lam: Optional[float] = None
     beta: Optional[float] = None
     beta_list: Optional[tuple] = None
-    z_list: Optional[tuple] = None
     lambdas: Optional[tuple] = None
     n_list: Optional[tuple] = None
     replicates: Optional[int] = None
@@ -174,18 +174,11 @@ def run_pointwise_convergence(cfg: ExperimentConfig) -> Table:
                  rows=rows)
 
 
-def _coverage_methods(cfg: ExperimentConfig) -> list[tuple[str, float]]:
-    """(label, z) of every beta_list entry, then of every z_list entry."""
-    by_beta = [("plugin" if beta == 0.5 else f"beta={beta:g}",
-                critical_value(beta)) for beta in cfg.beta_list or ()]
-    return by_beta + [(f"z={z:g}", z) for z in cfg.z_list or ()]
-
-
 def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
     """Acceptance fraction and MSE over accepted test points per lambda.
 
     The fit, the evaluation of the test points and one decide_batch call
-    broadcast over (lambda, method, point) serve the whole sweep. An empty
+    broadcast over (lambda, beta, point) serve the whole sweep. An empty
     accepted set leaves the MSE cell blank.
     """
     train, test = cfg.data.load(cfg.seed)
@@ -193,13 +186,13 @@ def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
     ev = evaluate_batch(fit, test.x)
     sq_err = np.square(ev.f_hat - test.y)
 
-    methods = _coverage_methods(cfg)
+    z = [critical_value(beta) for beta in cfg.beta_list]
     accepted = decide_batch(ev, fit, np.reshape(cfg.lambdas, (-1, 1, 1)),
-                            np.reshape([z for _, z in methods], (-1, 1)))[0]
-    rows = [(lam, label, float(acc.mean()),
+                            np.reshape(z, (-1, 1)))[0]
+    rows = [(lam, "plugin" if beta == 0.5 else f"beta={beta:g}", float(acc.mean()),
              float(np.mean(sq_err[acc])) if acc.any() else None)
-            for lam, by_method in zip(cfg.lambdas, accepted)
-            for (label, _), acc in zip(methods, by_method)]
+            for lam, by_beta in zip(cfg.lambdas, accepted)
+            for beta, acc in zip(cfg.beta_list, by_beta)]
     return Table(header=("lambda", "method", "accept_fraction",
                          "mse_accepted"), rows=rows)
 
@@ -296,9 +289,7 @@ class _Field:
     attr: Optional[str] = None  # the key when None
 
 
-_POSITIVE = (lambda v: v > 0.0, "be a positive finite real")
 _NONNEGATIVE = (lambda v: v >= 0.0, "be nonnegative")
-_LEVEL = (lambda v: 0.0 < v <= 0.5, "lie in (0, 0.5]")
 _COUNT = (lambda v: v >= 1, "be a positive integer")
 _INDEX = (lambda v: v >= 0, "be a nonnegative integer")
 
@@ -308,8 +299,8 @@ _TOP_FIELDS = (
     _Field("beta", "real", rule=_LEVEL,
            required_by=("acceptance_curve", "excess_risk_vs_n",
                         "pointwise_convergence")),
-    _Field("beta_list", "real", "list", _LEVEL, ("excess_risk_vs_beta",)),
-    _Field("z_list", "real", "list", _NONNEGATIVE),
+    _Field("beta_list", "real", "list", _LEVEL,
+           ("excess_risk_vs_beta", "coverage_mse_sweep")),
     _Field("lambdas", "real", "list", _NONNEGATIVE, ("coverage_mse_sweep",)),
     _Field("n", "integer", "either", _COUNT, _SYNTHETIC, attr="n_list"),
     _Field("replicates", "integer", rule=_COUNT, required_by=_SYNTHETIC),
@@ -323,8 +314,8 @@ _DATA_FIELDS = (
     _Field("has_header", "bool"),
     _Field("standardize", "bool"),
     _Field("pivot_feature", "integer", rule=_INDEX),
-    _Field("train_quantile", "real", rule=(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
-    _Field("swap_fraction", "real", rule=(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")),
+    _Field("train_quantile", "real", rule=_QUANTILE),
+    _Field("swap_fraction", "real", rule=_FRACTION),
 )
 
 # h form -> its fields; {"fixed": h} holds its one value directly
@@ -499,9 +490,6 @@ def config_from_dict(config: dict) -> ExperimentConfig:
             f"\"{k.value}\"" for k in KernelKind))
     if scenario == "excess_risk_vs_beta" and len(top.get("n_list") or ()) > 1:
         problems.append("excess_risk_vs_beta takes a single n")
-    if (scenario == "coverage_mse_sweep" and config.get("beta_list") is None
-            and config.get("z_list") is None):
-        problems.append("coverage_mse_sweep needs beta_list or z_list")
 
     x_grid = config.get("x_grid")
     if x_grid is not None:

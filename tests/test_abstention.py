@@ -48,6 +48,18 @@ class TestConfig:
                 f"beta must lie in (0, 0.5], got {value!r}")):
             AbstentionConfig(lam=1.0, beta=as_type(value))
 
+    @pytest.mark.parametrize("lam,beta,problem", [
+        ("x", 0.05, "lambda must be a positive finite real, got 'x'"),
+        (None, 0.05, "lambda must be a positive finite real, got None"),
+        (True, 0.05, "lambda must be a positive finite real, got True"),
+        (1.0, None, "beta must lie in (0, 0.5], got None"),
+        (1.0, "0.05", "beta must lie in (0, 0.5], got '0.05'"),
+        (1.0, True, "beta must lie in (0, 0.5], got True")])
+    def test_a_value_that_is_not_real_is_refused_by_name(self, lam, beta,
+                                                         problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            AbstentionConfig(lam=lam, beta=beta)
+
     def test_z_is_derived_from_beta(self):
         assert AbstentionConfig(lam=0.36, beta=0.05).z == Z95
         z_plugin = AbstentionConfig(lam=0.36, beta=0.5).z

@@ -68,12 +68,22 @@ class TestDecide:
                                         default_bandwidth_grid(data))
         assert report["h"] == expect
 
-    def test_z_flag(self, capsys, train_csv):
-        _, via_beta, _ = run_decide(capsys, train_csv, "--x", "0.1",
-                                 "--beta", "0.5", "--h", "0.3")
-        _, via_z, _ = run_decide(capsys, train_csv, "--x", "0.1",
-                              "--z", "0.0", "--h", "0.3")
-        assert via_beta == via_z
+    def test_z_is_an_unknown_flag(self, capsys, train_csv):
+        with pytest.raises(SystemExit) as exit_:
+            run_decide(capsys, train_csv, "--x", "0.1", "--beta", "0.5",
+                       "--z", "0.0", "--h", "0.3")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --z 0.0" in capsys.readouterr().err
+
+    def test_beta_is_required(self, capsys, train_csv):
+        (subparsers,) = build_parser()._subparsers._group_actions
+        beta = subparsers.choices["decide"]._option_string_actions["--beta"]
+        assert beta.required
+        with pytest.raises(SystemExit) as exit_:
+            run_decide(capsys, train_csv, "--x", "0.1", "--h", "0.3")
+        assert exit_.value.code == 2
+        assert ("the following arguments are required: --beta"
+                in capsys.readouterr().err)
 
     def test_malformed_csv_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -101,12 +111,11 @@ class TestDecide:
         assert code == 1
 
     @pytest.mark.parametrize("flag,value", [
-        ("--z", "nan"), ("--z", "inf"), ("--z", "-1"),
         ("--lambda", "inf"), ("--lambda", "nan"), ("--beta", "nan"),
     ])
     def test_bad_level_flag_exits_one_naming_it(self, capsys, train_csv, flag,
                                                 value):
-        level = [] if flag in ("--z", "--beta") else ["--beta", "0.05"]
+        level = [] if flag == "--beta" else ["--beta", "0.05"]
         # a repeated --lambda takes the last value
         code, report, err = run_decide(capsys, train_csv, "--x", "0.0",
                                        "--h", "0.3", *level, flag, value)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -267,6 +268,17 @@ class TestShiftSplit:
         with pytest.raises(ValueError):
             covariate_shift_split(ordered_dataset(5),
                                   ShiftSplit(pivot_feature=0, seed=0))
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("train_quantile", "x", "train_quantile must lie in (0, 1), got 'x'"),
+        ("train_quantile", None, "train_quantile must lie in (0, 1), got None"),
+        ("train_quantile", True, "train_quantile must lie in (0, 1), got True"),
+        ("swap_fraction", "0.2", "swap_fraction must lie in [0, 1), got '0.2'"),
+        ("swap_fraction", np.float64(1), "swap_fraction must lie in [0, 1), "
+                                         "got 1.0")])
+    def test_a_bad_fraction_is_refused_by_name(self, field, value, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            ShiftSplit(pivot_feature=1, **{field: value})
 
     @pytest.mark.parametrize("n", [10, 15, 19])
     def test_empty_train_side_refused(self, n):

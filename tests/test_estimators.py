@@ -428,7 +428,8 @@ class TestBandwidthSelection:
         with pytest.raises(ValueError, match="got 'lococv'$"):
             estimators.HPolicy("lococv")
 
-    @pytest.mark.parametrize("h", [None, 0.0, -1.0, math.nan, math.inf, "1.0"])
+    @pytest.mark.parametrize("h", [None, 0.0, -1.0, math.nan, math.inf, "1.0",
+                                   True])
     def test_fixed_policy_refuses_an_h_it_cannot_fit(self, h):
         with pytest.raises(ValueError, match=r"^h must be a positive finite "
                                              rf"real, got {h!r}$"):
@@ -436,13 +437,25 @@ class TestBandwidthSelection:
 
     @pytest.mark.parametrize("field,value", [
         ("c", None), ("c", 0.0), ("c", -1.0), ("c", math.nan), ("c", math.inf),
-        ("c", "2"), ("exponent", None), ("exponent", math.nan),
-        ("exponent", math.inf), ("exponent", -math.inf), ("exponent", "-0.2")])
+        ("c", "2"), ("c", True), ("exponent", None), ("exponent", math.nan),
+        ("exponent", math.inf), ("exponent", -math.inf), ("exponent", "-0.2"),
+        ("exponent", True)])
     def test_power_policy_refuses_a_rule_it_cannot_fit(self, field, value):
         demand = "a positive finite real" if field == "c" else "a finite real"
         with pytest.raises(ValueError, match=rf"^{field} must be {demand}, "
                                              rf"got {value!r}$"):
             estimators.HPolicy("power", **{field: value})
+
+    @pytest.mark.parametrize("kind,field,value,shown", [
+        ("fixed", "h", np.float64(-1), "-1.0"),
+        ("power", "c", np.int64(0), "0.0"),
+        ("power", "exponent", np.float64(np.nan), "nan"),
+        ("power", "exponent", 10 ** 400, "inf")],
+        ids=["np.float64", "np.int64", "nan", "int-beyond-the-floats"])
+    def test_policy_prints_a_real_as_a_float(self, kind, field, value, shown):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, "
+                                             rf"got {shown}$"):
+            estimators.HPolicy(kind, **{field: value})
 
     @pytest.mark.parametrize("c,exponent", [(1.0, -0.2), (0.5, 0.0), (2.0, 0.3)])
     def test_power_policy_fits_c_n_to_the_exponent(self, c, exponent):
@@ -1021,6 +1034,12 @@ class TestDatasetValidation:
                      kernel=gauss1d, h=1.0)
         with pytest.raises(ValueError):
             FitState(train=Dataset(x=[[1.0]]), kernel=gauss1d, h=1.0)
+
+    @pytest.mark.parametrize("h", [None, "0.3", True])
+    def test_fit_refuses_a_bandwidth_that_is_not_real(self, gauss1d, h):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bandwidth must be a positive finite real, got {h!r}")):
+            FitState(train=Dataset(x=[[1.0]], y=[2.0]), kernel=gauss1d, h=h)
 
     @pytest.mark.parametrize("h,problem", [(1e-70, "= 0.0 underflows"),
                                            (1e-63, "= 1e-315 underflows"),

@@ -115,6 +115,19 @@ class TestConfigValidation:
         problems = " ".join(err.value.problems)
         assert "lambdas" in problems and "data" in problems
 
+    def test_coverage_requires_beta_list(self):
+        cfg = coverage_config()
+        del cfg["beta_list"]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(cfg)
+        assert err.value.problems == [
+            "beta_list is required for scenario coverage_mse_sweep"]
+
+    def test_z_list_is_an_unknown_key(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(coverage_config(z_list=[1.6448536269514722]))
+        assert err.value.problems == ["unknown config keys: ['z_list']"]
+
     @pytest.mark.parametrize("key,value,field", [
         ("lambda", "abc", "lambda"),
         ("lambda", 10 ** 400, "lambda"),
@@ -294,8 +307,7 @@ class TestConfigValidation:
             max_leaves=8)
         fields = {
             "lambda": json_values, "beta": json_values,
-            "beta_list": json_values, "z_list": json_values,
-            "lambdas": json_values,
+            "beta_list": json_values, "lambdas": json_values,
             "x_grid": json_values
             | st.fixed_dictionaries({"linspace": json_values}),
             "h": json_values | st.one_of(
@@ -562,17 +574,17 @@ class TestCoverageSweep:
             fr = {r[1]: float(r[2]) for r in rows if float(r[0]) == lam}
             assert fr["beta=1e-17"] <= fr["plugin"]
 
-    def test_z_direct_mode(self, tmp_path, airfoil_csv):
-        cfg = self.coverage_config(airfoil_csv)
-        del cfg["beta_list"]
-        cfg["z_list"] = [0.0, 1.6448536269514722, 10.0]
+    def test_three_levels_label_and_order_acceptance(self, tmp_path,
+                                                     airfoil_csv):
+        # z_{1-beta} is 0, 1.64 and about 10 at these levels
+        cfg = self.coverage_config(airfoil_csv, beta_list=[0.5, 0.05, 7.6e-24])
         run_scenario(cfg, tmp_path / "out")
         _, rows = read_rows(tmp_path / "out" / "coverage_mse_sweep.csv")
         labels = {r[1] for r in rows}
-        assert labels == {"z=0", "z=1.64485", "z=10"}
+        assert labels == {"plugin", "beta=0.05", "beta=7.6e-24"}
         for lam in {float(r[0]) for r in rows}:
             fr = {r[1]: float(r[2]) for r in rows if float(r[0]) == lam}
-            assert fr["z=10"] <= fr["z=1.64485"] <= fr["z=0"]
+            assert fr["beta=7.6e-24"] <= fr["beta=0.05"] <= fr["plugin"]
 
     def test_manifest_hashes_inputs(self, tmp_path, airfoil_csv):
         manifest = run_scenario(self.coverage_config(airfoil_csv),
