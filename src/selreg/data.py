@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .estimators import Dataset, _require_real
+from .estimators import Dataset, _as_real, _require_real
 from .normal import normal_quantile
 
 _MASK64 = (1 << 64) - 1
@@ -47,15 +47,25 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
 
 
+def _require_number(name: str, value) -> float:
+    """``value`` of field ``name`` as a float, refused by name if it is a
+    bool or not a real number; its caller checks the range."""
+    number = _as_real(value)
+    if number is None:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Uniform:
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
+        lo, hi = _require_number("lo", self.lo), _require_number("hi", self.hi)
+        if not (lo < hi):
             raise ValueError("uniform bounds must satisfy lo < hi")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("uniform bounds must be finite")
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
@@ -68,9 +78,10 @@ class Normal:
     sd: float
 
     def __post_init__(self):
-        if not (self.sd > 0.0):
+        mu, sd = _require_number("mu", self.mu), _require_number("sd", self.sd)
+        if not (sd > 0.0):
             raise ValueError("normal sd must be positive")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sd)):
+        if not (math.isfinite(mu) and math.isfinite(sd)):
             raise ValueError("normal mu and sd must be finite")
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:

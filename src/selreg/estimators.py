@@ -58,16 +58,22 @@ _PARTS = 2
 _POSITIVE = (lambda v: v > 0.0, "be a positive finite real")
 
 
+def _as_real(value) -> Optional[float]:
+    """``value`` as a float if it is a real number (a bool is not one), else
+    None; an int beyond the floats is inf."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _require_real(name: str, value, rule=(lambda v: True, "be a finite real")):
     """``value`` of field ``name`` as a float, refused unless it is a real
-    number (a bool is not one), finite and passes ``rule``'s predicate: the
-    message "<name> must <demand>, got <value>" prints a real as a float."""
-    number = None
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the floats
-            number = math.inf
+    number, finite and passes ``rule``'s predicate: the message
+    "<name> must <demand>, got <value>" prints a real as a float."""
+    number = _as_real(value)
     if number is None or not (math.isfinite(number) and rule[0](number)):
         raise ValueError(f"{name} must {rule[1]}, "
                          f"got {value if number is None else number!r}")
@@ -360,6 +366,14 @@ class HPolicy:
         elif self.kind == "power":
             _require_real("c", self.c, _POSITIVE)
             _require_real("exponent", self.exponent)
+        if self.grid is not None:
+            text = isinstance(self.grid, (str, bytes))
+            grid = tuple(self.grid) if np.iterable(self.grid) and not text else ()
+            if not grid:
+                raise ValueError("grid must be a nonempty sequence of positive "
+                                 f"finite reals, got {self.grid!r}")
+            object.__setattr__(self, "grid", tuple(
+                _require_real(f"grid[{i}]", h, _POSITIVE) for i, h in enumerate(grid)))
 
     def fit_rule(self, kernel: KernelSpec) -> Callable[[Dataset], FitState]:
         """Fit rule for ``kernel``; LOO-CV searches ``grid``, the default if None."""

@@ -1,10 +1,11 @@
 """Experiment scenarios: parameterized runs emitting tabular results.
 
-Five scenarios cover the synthetic studies (acceptance curves, excess risk
-against sample size / significance level, pointwise convergence under a
-bandwidth power law) and the real-data coverage/MSE sweep over the
-abstention cost. Each run is a pure function of (config, seed); rerunning
-with the same config yields byte-identical CSV files.
+One Monte-Carlo runner serves the four synthetic studies (acceptance curves,
+excess risk against n / significance level, pointwise convergence under a
+bandwidth power law), which differ only in the levels they score and the
+columns they write; the fifth is the real-data coverage/MSE sweep over the
+abstention cost. Each run is a pure function of (config, seed): the same
+config writes byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -118,60 +120,49 @@ def write_csv(table: Table, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _monte_carlo(cfg: ExperimentConfig, betas):
-    """Per n of cfg: (n, RiskReport) with one config row per beta.
+# scenario -> its CSV columns, in output order
+_COLUMNS = {
+    "acceptance_curve": ("x", "n", "accept_fraction"),
+    "excess_risk_vs_n": ("x", "n", "method", "expected_excess", "stderr"),
+    "excess_risk_vs_beta": ("x", "beta", "method", "expected_excess", "stderr",
+                            "accept_fraction"),
+    "pointwise_convergence": ("x", "n", "nh", "expected_excess", "stderr"),
+    "coverage_mse_sweep": ("lambda", "method", "accept_fraction", "mse_accepted"),
+}
 
-    Every replicate is fitted once and evaluated once on the grid; each beta
-    scores that same evaluation, so the methods' columns are directly
-    comparable.
+
+def _methods(cfg: ExperimentConfig) -> list:
+    """The (label, beta) pairs a synthetic scenario scores on every fit."""
+    if cfg.scenario == "excess_risk_vs_n":
+        return [("testing", cfg.beta), ("plugin", 0.5)]
+    if cfg.scenario == "excess_risk_vs_beta":
+        return [("plugin" if b == 0.5 else "testing", b) for b in cfg.beta_list]
+    return [(None, cfg.beta)]
+
+
+def run_monte_carlo(cfg: ExperimentConfig) -> Table:
+    """A synthetic scenario's rows, by n, then method, then grid point.
+
+    Each replicate is fitted and evaluated on the grid once, and every
+    method scores that same evaluation, so their columns are comparable.
     """
     rule = cfg.h_policy.fit_rule(kernel_spec(cfg.kernel, cfg.synthetic.d))
-    methods = [AbstentionConfig(lam=cfg.lam, beta=beta) for beta in betas]
-    return [(n, monte_carlo_expected_excess(
-                cfg.synthetic, n, methods, rule, cfg.x_grid, cfg.replicates,
-                cfg.seed))
-            for n in cfg.n_list]
-
-
-def run_acceptance_curve(cfg: ExperimentConfig) -> Table:
-    """Fraction of accepted predictions per grid point and sample size."""
-    rows = [(float(x), n, accept)
-            for n, rep in _monte_carlo(cfg, [cfg.beta])
-            for x, accept in zip(cfg.x_grid, rep.accept_fraction[0])]
-    return Table(header=("x", "n", "accept_fraction"), rows=rows)
-
-
-def run_excess_risk_vs_n(cfg: ExperimentConfig) -> Table:
-    """Expected excess risk against n for the test and the plugin baseline."""
-    rows = [(float(x), n, method, excess, stderr)
-            for n, rep in _monte_carlo(cfg, [cfg.beta, 0.5])
-            for method, excesses, stderrs in zip(
-                ("testing", "plugin"), rep.expected_excess, rep.mc_stderr)
-            for x, excess, stderr in zip(cfg.x_grid, excesses, stderrs)]
-    return Table(header=("x", "n", "method", "expected_excess", "stderr"),
-                 rows=rows)
-
-
-def run_excess_risk_vs_beta(cfg: ExperimentConfig) -> Table:
-    """Excess risk and acceptance at fixed n across significance levels."""
-    ((_, rep),) = _monte_carlo(cfg, cfg.beta_list)
-    rows = [(float(x), beta, "plugin" if beta == 0.5 else "testing", *cell)
-            for beta, *table in zip(cfg.beta_list, rep.expected_excess,
-                                    rep.mc_stderr, rep.accept_fraction)
-            for x, *cell in zip(cfg.x_grid, *table)]
-    return Table(header=("x", "beta", "method", "expected_excess", "stderr",
-                         "accept_fraction"), rows=rows)
-
-
-def run_pointwise_convergence(cfg: ExperimentConfig) -> Table:
-    """Excess risk at diagnostic points across n under the h power law."""
-    # the power rule depends on n alone, so every replicate has the same h
-    rows = [(float(x), n, n * rep.h[0], excess, stderr)
-            for n, rep in _monte_carlo(cfg, [cfg.beta])
-            for x, excess, stderr in zip(cfg.x_grid, rep.expected_excess[0],
-                                         rep.mc_stderr[0])]
-    return Table(header=("x", "n", "nh", "expected_excess", "stderr"),
-                 rows=rows)
+    methods = _methods(cfg)
+    levels = [AbstentionConfig(lam=cfg.lam, beta=beta) for _, beta in methods]
+    header, x = _COLUMNS[cfg.scenario], [float(v) for v in cfg.x_grid]
+    rows = []
+    for n in cfg.n_list:
+        rep = monte_carlo_expected_excess(cfg.synthetic, n, levels, rule,
+                                          cfg.x_grid, cfg.replicates, cfg.seed)
+        for k, (label, beta) in enumerate(methods):
+            # the power rule depends on n alone, so every replicate has the same h
+            columns = {"x": x, "n": repeat(n), "beta": repeat(beta),
+                       "method": repeat(label), "nh": repeat(n * rep.h[0]),
+                       "expected_excess": rep.expected_excess[k],
+                       "stderr": rep.mc_stderr[k],
+                       "accept_fraction": rep.accept_fraction[k]}
+            rows.extend(zip(*(columns[name] for name in header)))
+    return Table(header=header, rows=rows)
 
 
 def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
@@ -193,17 +184,11 @@ def run_coverage_mse_sweep(cfg: ExperimentConfig) -> Table:
              float(np.mean(sq_err[acc])) if acc.any() else None)
             for lam, by_beta in zip(cfg.lambdas, accepted)
             for beta, acc in zip(cfg.beta_list, by_beta)]
-    return Table(header=("lambda", "method", "accept_fraction",
-                         "mse_accepted"), rows=rows)
+    return Table(header=_COLUMNS["coverage_mse_sweep"], rows=rows)
 
 
-_RUNNERS = {
-    "acceptance_curve": run_acceptance_curve,
-    "excess_risk_vs_n": run_excess_risk_vs_n,
-    "excess_risk_vs_beta": run_excess_risk_vs_beta,
-    "pointwise_convergence": run_pointwise_convergence,
-    "coverage_mse_sweep": run_coverage_mse_sweep,
-}
+_RUNNERS = {scenario: run_coverage_mse_sweep if scenario == "coverage_mse_sweep"
+            else run_monte_carlo for scenario in _COLUMNS}
 SCENARIOS = tuple(_RUNNERS)
 
 
@@ -252,7 +237,7 @@ def run_scenario(config: dict, out_dir) -> dict:
 
 # --- config parsing -------------------------------------------------------
 
-_SYNTHETIC = tuple(s for s in SCENARIOS if s != "coverage_mse_sweep")
+_SYNTHETIC = tuple(s for s in SCENARIOS if _RUNNERS[s] is run_monte_carlo)
 
 # a linspace grid larger than this is refused before it is allocated
 _MAX_GRID_POINTS = 1_000_000

@@ -35,7 +35,7 @@ class RiskReport:
 
 def oracle_risk(sigma2: float, lam: float) -> float:
     """Risk of the oracle rule: min(sigma2, lam)."""
-    if sigma2 < 0.0:
+    if not sigma2 >= 0.0:
         raise ValueError("variance must be nonnegative")
     if not (lam > 0.0):
         raise ValueError("abstention cost must be positive")

@@ -188,6 +188,19 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Uniform(True, 2.0), "lo must be a real number, got True"),
+        (lambda: Uniform(0.0, False), "hi must be a real number, got False"),
+        (lambda: Uniform("a", "b"), "lo must be a real number, got 'a'"),
+        (lambda: Uniform(0.0, None), "hi must be a real number, got None"),
+        (lambda: Normal(True, 1.0), "mu must be a real number, got True"),
+        (lambda: Normal(0, "1"), "sd must be a real number, got '1'"),
+        (lambda: Uniform(0, 10 ** 400), "uniform bounds must be finite")])
+    def test_distributions_refuse_a_parameter_that_is_not_a_real(self, make,
+                                                                 message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
 
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):

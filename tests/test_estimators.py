@@ -446,6 +446,29 @@ class TestBandwidthSelection:
                                              rf"got {value!r}$"):
             estimators.HPolicy("power", **{field: value})
 
+    @pytest.mark.parametrize("grid,message", [
+        ((-1.0, 0.5), "grid[0] must be a positive finite real, got -1.0"),
+        ([0.5, math.nan], "grid[1] must be a positive finite real, got nan"),
+        ([0.5, True], "grid[1] must be a positive finite real, got True"),
+        ([0.5, "1"], "grid[1] must be a positive finite real, got '1'"),
+        ("abc", "grid must be a nonempty sequence of positive finite reals, "
+                "got 'abc'"),
+        ([], "grid must be a nonempty sequence of positive finite reals, got []"),
+        (0.5, "grid must be a nonempty sequence of positive finite reals, "
+              "got 0.5")])
+    def test_policy_refuses_a_grid_it_cannot_search(self, grid, message):
+        for kind, values in [("loocv", {}), ("fixed", {"h": 0.5}), ("power", {})]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                estimators.HPolicy(kind, grid=grid, **values)
+
+    def test_loocv_policy_stores_its_grid_as_a_tuple_of_floats(self):
+        policy = estimators.HPolicy("loocv", grid=np.array([0.25, 1.0]))
+        assert policy.grid == (0.25, 1.0)
+        assert all(type(h) is float for h in policy.grid)
+        # a stored array would make == raise and the policy unhashable
+        assert policy == estimators.HPolicy("loocv", grid=[0.25, 1])
+        assert hash(policy) == hash(estimators.HPolicy("loocv", grid=(0.25, 1.0)))
+
     @pytest.mark.parametrize("kind,field,value,shown", [
         ("fixed", "h", np.float64(-1), "-1.0"),
         ("power", "c", np.int64(0), "0.0"),

@@ -30,6 +30,8 @@ class TestOracleRisk:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             oracle_risk(-0.1, 0.36)
+        with pytest.raises(ValueError, match="^variance must be nonnegative$"):
+            oracle_risk(math.nan, 0.36)
         with pytest.raises(ValueError):
             oracle_risk(0.1, 0.0)
 
